@@ -204,18 +204,13 @@ def run_naive(
     epsilon: float = DEFAULT_EPSILON,
     timeout: float | None = None,
     bundle: DatasetBundle | None = None,
-    batched_sweeps: bool = True,
-    incremental_categorical: bool = True,
     jobs: int | None = None,
     max_candidates: int | None = None,
 ) -> RunRecord:
     """Run one exhaustive-search configuration and record its timings.
 
-    ``batched_sweeps=False`` (Naive+prov only) restores the per-candidate
-    threshold evaluation the sweep-batching benchmark compares against;
-    ``incremental_categorical=False`` restores the per-candidate OR-reduce
-    over categorical subsets.  ``jobs`` shards the candidate space across
-    worker processes (``jobs=1``/``None`` is the serial path).
+    ``jobs`` shards the candidate space across worker processes
+    (``jobs=1``/``None`` is the serial path).
     """
     bundle = bundle or dataset_bundle(dataset)
     if use_provenance:
@@ -226,14 +221,10 @@ def run_naive(
             epsilon=epsilon,
             distance=distance,
             timeout=timeout if timeout is not None else TIMEOUT_SECONDS,
-            batched_sweeps=batched_sweeps,
-            incremental_categorical=incremental_categorical,
             jobs=jobs,
             max_candidates=max_candidates,
         )
-        algorithm = "NAIVE+PROV" if batched_sweeps else "NAIVE+PROV/percand"
-        if not incremental_categorical:
-            algorithm += "/orreduce"
+        algorithm = "NAIVE+PROV"
     else:
         search = NaiveSearch(
             bundle.database,

@@ -1,11 +1,12 @@
 """Performance guard for lazy constraint generation (``pytest -m perf_smoke``).
 
 The reduced-scale law_students MILP+OPT Kendall cell is the eager lowering's
-worst case: ~24s of solve time dominated by rank/top-k/distance-linking rows
-that are inactive at the optimum.  The cutting-plane loop must solve the same
-cell inside ``REPRO_KEN_SMOKE_BUDGET`` (default 12s = half the 24.1s
-baseline, locking >=2x; measured ~0.8s) *and* reach exactly the distance an
-eager reference solve proves optimal.
+worst case: ~24s of solve time dominated by rank/top-k rows that are inactive
+at the optimum.  The cutting-plane loop must solve the same cell inside
+``REPRO_KEN_SMOKE_BUDGET`` (default 12s = half the 24.1s baseline, locking
+>=2x; measured ~0.8s) *and* reach exactly the distance an eager reference
+solve proves optimal.  The eager reference comes from raising the pool-size
+floor (``MIN_LAZY_POOL_ROWS``) above any pool.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import os
 
 import pytest
+
+from repro.core import lazy_generation
 
 from benchmarks.support import TIMEOUT_SECONDS, print_records, run_milp, default_constraint_set
 
@@ -27,7 +30,8 @@ REFERENCE_TIME_LIMIT = max(TIMEOUT_SECONDS, 60.0)
 
 
 def kendall_record(monkeypatch, lazy: bool):
-    monkeypatch.setenv("REPRO_MILP_LAZY", "1" if lazy else "0")
+    if not lazy:
+        monkeypatch.setattr(lazy_generation, "MIN_LAZY_POOL_ROWS", 2**62)
     record = run_milp(
         "law_students",
         default_constraint_set("law_students"),

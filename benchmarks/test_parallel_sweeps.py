@@ -11,8 +11,7 @@ The wall-clock speedup is hardware-dependent — a shard pool cannot beat the
 serial loop on a single-core container — so the ``>= MINIMUM_SPEEDUP``
 assertion only arms when the machine has at least two CPUs *and*
 ``REPRO_REQUIRE_PARALLEL_SPEEDUP=1`` is set (the CI matrix job sets it on its
-multi-core runners).  The hard always-on perf acceptance guard for this PR
-lives in ``test_incremental_categorical.py``.
+multi-core runners).
 """
 
 from __future__ import annotations

@@ -58,14 +58,6 @@ ENV_VARS: tuple[EnvVar, ...] = (
         "`branch_and_bound`); unknown values raise.",
     ),
     EnvVar(
-        "REPRO_MILP_LAZY",
-        "1",
-        SCOPE_RUNTIME,
-        "Set to 0 to disable lazy constraint generation: `RefinementSolver` "
-        "then lowers every constraint family eagerly instead of running the "
-        "cutting-plane loop over the rank/top-k/distance pools.",
-    ),
-    EnvVar(
         "REPRO_DEBUG_LOCKS",
         "0",
         SCOPE_RUNTIME,

@@ -10,15 +10,12 @@ which they get it, keeping the builder and the distances decoupled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.core.constraints import ConstraintSet
 from repro.milp.constraint import LinearConstraint
 from repro.milp.expression import Variable
 from repro.milp.model import Model
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.core.lazy_generation import LinkingConstraintSink
 from repro.provenance.lineage import AnnotatedDatabase
 from repro.relational.executor import RankedResult
 from repro.relational.predicates import Operator
@@ -58,10 +55,10 @@ class MILPBuildContext:
     topk_variables:
         ``(position, k) -> l_{t,k}``; only the positions/k the builder decided
         are needed have variables.
-    linking_sink:
-        Destination for the distance measures' auxiliary *linking* rows under
-        lazy constraint generation (``None`` otherwise — rows then go
-        straight into the model).  See :meth:`add_linking_constraint`.
+    linking_constraints:
+        The distance measures' auxiliary *linking* rows, collected by
+        :meth:`add_linking_constraint`; the builder adds them to the model
+        after the objective and the seed rows.
     """
 
     model: Model
@@ -76,23 +73,17 @@ class MILPBuildContext:
         default_factory=dict
     )
     topk_variables: Mapping[tuple[int, int], Variable] = field(default_factory=dict)
-    linking_sink: "LinkingConstraintSink | None" = None
+    linking_constraints: list[LinearConstraint] = field(default_factory=list)
 
-    def add_linking_constraint(
-        self, constraint: LinearConstraint, key: int, name: str | None = None
-    ) -> None:
-        """Route a distance-linking row eagerly or into the lazy pool.
+    def add_linking_constraint(self, constraint: LinearConstraint) -> None:
+        """Queue a row that links auxiliary variables to membership variables.
 
-        Distance measures call this for rows that merely *link* auxiliary
-        variables to the membership variables (the Kendall case rows): with
-        no sink they enter the model as before; under lazy generation they
-        join the ``distance`` pool keyed by the tuple position ``key`` they
-        link, and the cut loop generates them only when violated.
+        The Kendall case rows reference only original top-k positions, whose
+        rank and membership rows are always in the model from the start, so
+        the builder adds the queued rows after them rather than pooling them
+        for the cut loop.
         """
-        if self.linking_sink is None:
-            self.model.add_constraint(constraint, name=name)
-        else:
-            self.linking_sink.add(constraint, key)
+        self.linking_constraints.append(constraint)
 
     def topk_variable(self, position: int, k: int) -> Variable:
         """The ``l_{t,k}`` variable for a tuple position, failing loudly if absent."""

@@ -368,27 +368,19 @@ class KendallDistance(DistanceMeasure):
                 for other in original_positions[rank + 1 :]
             )
 
-            # Under lazy generation these six rows join the "distance" pool
-            # keyed by this position (the cut loop only materialises them
-            # when a candidate's case variables understate the penalty);
-            # otherwise they enter the model exactly as before.
             case_two = model.continuous_var(f"ken_case2[{position}]", lower=0.0)
-            context.add_linking_constraint(case_two <= big_m * (1 - membership), position)
+            context.add_linking_constraint(case_two <= big_m * (1 - membership))
             context.add_linking_constraint(
-                case_two <= big_m * membership + worse_survivors, position
+                case_two <= big_m * membership + worse_survivors
             )
             context.add_linking_constraint(
-                case_two >= worse_survivors - big_m * membership, position
+                case_two >= worse_survivors - big_m * membership
             )
 
             case_three = model.continuous_var(f"ken_case3[{position}]", lower=0.0)
-            context.add_linking_constraint(case_three <= big_m * (1 - membership), position)
-            context.add_linking_constraint(
-                case_three <= big_m * membership + entering, position
-            )
-            context.add_linking_constraint(
-                case_three >= entering - big_m * membership, position
-            )
+            context.add_linking_constraint(case_three <= big_m * (1 - membership))
+            context.add_linking_constraint(case_three <= big_m * membership + entering)
+            context.add_linking_constraint(case_three >= entering - big_m * membership)
 
             case_terms.append(case_two + case_three)
 

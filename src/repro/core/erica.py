@@ -49,6 +49,7 @@ from repro.core.milp_builder import (
     RowBatch,
     build_numerical_predicate_variables,
     flush_rows,
+    refined_constant,
     selection_rows,
 )
 from repro.core.refinement import Refinement
@@ -100,16 +101,8 @@ class EricaResult:
 class EricaBaseline:
     """Provenance-based refinement for whole-output cardinality constraints.
 
-    Parameters
-    ----------
-    aggregate_lineage:
-        ``None`` (default) aggregates lineage classes whenever the query is
-        not DISTINCT; ``False`` forces the per-tuple encoding (used by the
-        golden tests to compare the two models); ``True`` insists on
-        aggregation and raises for DISTINCT queries.
-    block_lowering:
-        Emit constraint families as COO row blocks (default) or as one
-        ``LinearConstraint`` per row; both lower to identical matrices.
+    Non-DISTINCT queries use the lineage-aggregated encoding, DISTINCT
+    queries the per-tuple one (see the module notes).
     """
 
     def __init__(
@@ -121,23 +114,14 @@ class EricaBaseline:
         backend: str = "auto",
         executor_backend: str | None = None,
         executor_db: str | None = None,
-        aggregate_lineage: bool | None = None,
-        block_lowering: bool = True,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
     ) -> None:
-        if aggregate_lineage and query.distinct:
-            raise RefinementError(
-                "lineage aggregation is unavailable for DISTINCT queries "
-                "(de-duplication makes same-lineage tuples non-interchangeable)"
-            )
         self.database = database
         self.query = query
         self.constraints = constraints
         self.output_size = output_size
         self.backend = backend
-        self.aggregate_lineage = aggregate_lineage
-        self.block_lowering = block_lowering
         self.distance = PredicateDistance()
         # A warm dataset session shares its executor and pre-annotated ~Q(D);
         # one-shot callers build both here.
@@ -242,16 +226,10 @@ class EricaBaseline:
                     "numerical equality predicates are not supported by the baseline"
                 )
         build_numerical_predicate_variables(
-            model, self.query, annotated, constant_variables, indicator_variables,
-            self.block_lowering,
+            model, self.query, annotated, constant_variables, indicator_variables
         )
 
-        aggregate = (
-            self.aggregate_lineage
-            if self.aggregate_lineage is not None
-            else not self.query.distinct
-        )
-        if aggregate:
+        if not self.query.distinct:
             self._build_aggregated_selection(
                 model, annotated, categorical_variables, indicator_variables
             )
@@ -308,11 +286,8 @@ class EricaBaseline:
 
         if self.output_size is not None:
             cols = [model.index_of(variable) for variable in selection.values()]
-            batch.add_row(
-                cols, [1.0] * len(cols), SENSE_EQ, float(self.output_size),
-                name="output_size",
-            )
-        flush_rows(model, batch, self.block_lowering)
+            batch.add_row(cols, [1.0] * len(cols), SENSE_EQ, float(self.output_size))
+        flush_rows(model, batch)
 
     def _build_aggregated_selection(
         self, model: Model, annotated: AnnotatedDatabase,
@@ -381,21 +356,15 @@ class EricaBaseline:
 
         if self.output_size is not None:
             cols = [model.index_of(variable) for variable in count_variables.values()]
-            batch.add_row(
-                cols, [1.0] * len(cols), SENSE_EQ, float(self.output_size),
-                name="output_size",
-            )
-        flush_rows(model, batch, self.block_lowering)
+            batch.add_row(cols, [1.0] * len(cols), SENSE_EQ, float(self.output_size))
+        flush_rows(model, batch)
 
     @staticmethod
     def _add_cardinality(
         batch: RowBatch, constraint: CardinalityConstraint, cols, coeffs
     ) -> None:
         sense = SENSE_GE if constraint.bound_type.sign > 0 else SENSE_LE
-        batch.add_row(
-            cols, coeffs, sense, float(constraint.bound),
-            name=f"erica[{constraint.label()}]",
-        )
+        batch.add_row(cols, coeffs, sense, float(constraint.bound))
 
     @staticmethod
     def _atom_variable(atom, categorical_variables, indicator_variables) -> Variable:
@@ -424,23 +393,12 @@ class EricaBaseline:
             if not values:
                 values = predicate.values
             categorical[predicate.attribute] = values
-        numerical: dict[tuple[str, Operator], float] = {}
-        for predicate in self.query.numerical_predicates:
-            key = (predicate.attribute, predicate.operator)
-            selected = [
-                value
-                for value in annotated.numeric_domain(predicate.attribute)
-                if solution.value(
-                    indicator_variables[(predicate.attribute, predicate.operator, value)]
-                )
-                > 0.5
-            ]
-            if selected:
-                numerical[key] = (
-                    min(selected) if predicate.operator.is_lower_bound else max(selected)
-                )
-            else:
-                numerical[key] = solution.value(constant_variables[key])
+        numerical = {
+            (predicate.attribute, predicate.operator): refined_constant(
+                predicate, annotated, solution, constant_variables, indicator_variables
+            )
+            for predicate in self.query.numerical_predicates
+        }
         return Refinement(numerical=numerical, categorical=categorical)
 
     def _add_no_good_cut(

@@ -1,18 +1,20 @@
 """Lazy constraint generation (row generation) for the refinement MILPs.
 
 The Figure 1 program is dominated by per-tuple rank machinery: one
-rank-definition row plus two top-k membership rows per (tuple, k) pair, and —
-for Kendall's tau — six distance-linking rows per original top-k item.  At the
-optimum only a small fraction of these rows is active (a distance-0 refinement
-keeps every original top-k member, so no rank ever needs to be pinned down),
-yet the eager lowering makes HiGHS carry all of them through every node.
+rank-definition row plus two top-k membership rows per (tuple, k) pair.  At
+the optimum only a small fraction of these rows is active (a distance-0
+refinement keeps every original top-k member, so no rank ever needs to be
+pinned down), yet the eager lowering makes HiGHS carry all of them through
+every node.
 
 This module implements the classic cutting-plane alternative:
 
-* the builder withholds the separable families as :class:`LazyPool` objects
-  (COO triplets plus per-row group keys) and seeds the model with everything
-  else — indicator, selection, minimum-output-size, prefix-chain and
-  deviation rows;
+* the builder withholds the two separable families as :class:`LazyPool`
+  objects (COO triplets plus per-row group keys) and seeds the model with
+  everything else — indicator, selection, minimum-output-size, prefix-chain,
+  deviation and objective rows, plus the pool rows of the original top-k
+  positions — unless fewer than :data:`MIN_LAZY_POOL_ROWS` pool rows would
+  stay pending, in which case it lowers the whole program eagerly;
 * :func:`run_cut_loop` solves the seeded relaxation, asks every pool's
   *separation oracle* (:meth:`LazyPool.separate`) which pending rows the
   candidate violates, appends those rows block-wise through
@@ -47,15 +49,8 @@ from scipy import sparse
 
 from repro.core.deadline import Deadline
 from repro.exceptions import ModelError
-from repro.milp.constraint import ConstraintSense, LinearConstraint
-from repro.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE, Model
+from repro.milp.model import SENSE_GE, SENSE_LE, Model
 from repro.milp.solution import Solution, SolveStatus
-
-_SENSE_CODE = {
-    ConstraintSense.LESS_EQUAL: SENSE_LE,
-    ConstraintSense.GREATER_EQUAL: SENSE_GE,
-    ConstraintSense.EQUAL: SENSE_EQ,
-}
 
 #: Absolute feasibility slack below which a pending row is not considered
 #: violated.  Looser than the backends' own ~1e-7 primal tolerance because the
@@ -80,12 +75,15 @@ _BOUND_TOLERANCE = 1e-6
 #: the eager solve time while keeping the large wins when convergence is fast.
 DEFAULT_ESCALATION_ROUNDS = 4
 
-#: Pool-size floor applied by the solver facade's environment-default path:
-#: models whose pools hold fewer pending rows than this solve eagerly.  Row
-#: generation trades extra backend start-ups for a smaller matrix, which only
-#: pays off once the withheld rows dominate the solve — on the reduced
+#: Pool-size floor: when fewer rank/top-k rows than this would stay pending
+#: after seeding, the builder lowers them eagerly instead of pooling them.
+#: Row generation trades extra backend start-ups for a smaller matrix, which
+#: only pays off once the withheld rows dominate the solve — on the reduced
 #: law_students Kendall workload (~3,000 pool rows) the loop wins ~30x, while
 #: sub-500-row models solve faster eagerly than any two rounds of the loop.
+#: The builder reads it at build time, so tests reach either side of the
+#: floor by monkeypatching it (0 forces the loop, a huge value the eager
+#: lowering).
 MIN_LAZY_POOL_ROWS = 512
 
 
@@ -235,51 +233,6 @@ class RankCompletion:
         completed = np.array(x, dtype=np.float64, copy=True)
         completed[self._rank_cols] = self._rhs - self._matrix @ x
         return completed
-
-
-class LinkingConstraintSink:
-    """Collects distance-linking :class:`LinearConstraint`s into a lazy pool.
-
-    The distance measures build their auxiliary rows as expression-level
-    constraints; under lazy generation the build context routes them here
-    instead of into the model, and the sink lowers each one to COO triplets
-    keyed by the tuple position it links.
-    """
-
-    def __init__(self, model: Model) -> None:
-        self._model = model
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._coeffs: list[float] = []
-        self._senses: list[int] = []
-        self._rhs: list[float] = []
-        self._keys: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._rhs)
-
-    def add(self, constraint: LinearConstraint, key: int) -> None:
-        """Lower one constraint into the sink under group key ``key``."""
-        row = len(self._rhs)
-        for variable, coeff in constraint.iter_coefficients():
-            self._rows.append(row)
-            self._cols.append(self._model.index_of(variable))
-            self._coeffs.append(coeff)
-        self._senses.append(_SENSE_CODE[constraint.sense])
-        self._rhs.append(constraint.rhs)
-        self._keys.append(int(key))
-
-    def into_pool(self, name: str) -> LazyPool:
-        """Freeze the collected rows into a :class:`LazyPool`."""
-        return LazyPool(
-            name,
-            self._rows,
-            self._cols,
-            self._coeffs,
-            self._senses,
-            self._rhs,
-            self._keys,
-        )
 
 
 @dataclass
@@ -452,7 +405,6 @@ __all__ = [
     "MIN_LAZY_POOL_ROWS",
     "CutLoopOutcome",
     "LazyPool",
-    "LinkingConstraintSink",
     "RankCompletion",
     "run_cut_loop",
 ]

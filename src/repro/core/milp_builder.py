@@ -35,11 +35,15 @@ see DESIGN.md):
   measure actually references.
 
 Constraint rows are computed once as COO triplet arrays per family and enter
-the model either as :meth:`repro.milp.Model.add_constraint_block` blocks (the
-default) or — with ``BuilderOptions(block_lowering=False)`` — as one
-:class:`LinearConstraint` per row built from the *same* numbers, so the two
-lowering paths are matrix-identical by construction (and asserted so by the
-golden tests).
+the model as :meth:`repro.milp.Model.add_constraint_block` blocks.
+
+Under ``BuilderOptions(lazy_generation=True)`` the builder applies the
+pool-size floor in the same single pass: it counts the rank-definition and
+top-k membership rows that would stay pending after seeding the original
+top-k positions, and withholds the two families as lazy pools only when at
+least :data:`repro.core.lazy_generation.MIN_LAZY_POOL_ROWS` of them would;
+otherwise it emits exactly the rows, in exactly the order, of
+``lazy_generation=False``.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core import lazy_generation
 from repro.core.constraints import BoundType, ConstraintSet
 from repro.core.context import MILPBuildContext
 from repro.core.distances import DistanceMeasure
-from repro.core.lazy_generation import LazyPool, LinkingConstraintSink, RankCompletion
+from repro.core.lazy_generation import LazyPool, RankCompletion
 from repro.core.optimizations import (
     BuilderOptions,
     classify_bound_types,
@@ -61,7 +66,6 @@ from repro.core.optimizations import (
 )
 from repro.core.refinement import Refinement
 from repro.exceptions import RefinementError
-from repro.milp.constraint import ConstraintSense, LinearConstraint
 from repro.milp.expression import LinearExpression, Variable, linear_sum
 from repro.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE, Model
 from repro.milp.solution import Solution
@@ -78,22 +82,16 @@ from repro.relational.query import SPJQuery
 #: are integral so any value in (0, 1) is exact.
 _RANK_DELTA = 0.5
 
-_SENSE_TO_ENUM = {
-    SENSE_LE: ConstraintSense.LESS_EQUAL,
-    SENSE_GE: ConstraintSense.GREATER_EQUAL,
-    SENSE_EQ: ConstraintSense.EQUAL,
-}
-
 
 class RowBatch:
     """COO triplets for one family of constraint rows.
 
     Rows are appended either one at a time (:meth:`add_row`) or as
-    pre-vectorised NumPy chunks (:meth:`add_rows`); the builder flushes the
-    batch into the model through whichever lowering path is selected.
+    pre-vectorised NumPy chunks (:meth:`add_rows`); :func:`flush_rows` moves
+    the finished batch into the model as one block.
     """
 
-    __slots__ = ("rows", "cols", "coeffs", "senses", "rhs", "names")
+    __slots__ = ("rows", "cols", "coeffs", "senses", "rhs")
 
     def __init__(self) -> None:
         self.rows: list[int] = []
@@ -101,16 +99,14 @@ class RowBatch:
         self.coeffs: list[float] = []
         self.senses: list[int] = []
         self.rhs: list[float] = []
-        self.names: list[str | None] = []
 
-    def add_row(self, cols, coeffs, sense: int, rhs: float, name: str | None = None) -> None:
+    def add_row(self, cols, coeffs, sense: int, rhs: float) -> None:
         row = len(self.rhs)
         self.rows.extend([row] * len(cols))
         self.cols.extend(cols)
         self.coeffs.extend(coeffs)
         self.senses.append(sense)
         self.rhs.append(float(rhs))
-        self.names.append(name)
 
     def add_rows(self, rows, cols, coeffs, senses, rhs) -> None:
         """Append a chunk of rows given as parallel arrays (local row ids).
@@ -127,7 +123,6 @@ class RowBatch:
         self.coeffs.extend(np.asarray(coeffs, dtype=np.float64).tolist())
         self.senses.extend(np.asarray(senses, dtype=np.int8).tolist())
         self.rhs.extend(np.asarray(rhs, dtype=np.float64).tolist())
-        self.names.extend([None] * len(rhs))
 
     def __len__(self) -> int:
         return len(self.rhs)
@@ -140,40 +135,17 @@ def pool_from_batch(name: str, batch: RowBatch, group_keys: list[int]) -> LazyPo
     )
 
 
-def flush_rows(model: Model, batch: RowBatch, block_lowering: bool) -> None:
-    """Move a finished row batch into ``model`` via the selected lowering path.
-
-    With ``block_lowering`` the batch enters as one COO block
-    (:meth:`repro.milp.Model.add_constraint_block`); otherwise as one
-    :class:`LinearConstraint` per row built from the *same* numbers,
-    accumulating duplicate columns exactly like :func:`linear_sum` would.
-    The two paths are matrix-identical by construction.
-    """
+def flush_rows(model: Model, batch: RowBatch) -> None:
+    """Move a finished row batch into ``model`` as one COO block."""
     if not batch.rhs:
         return
-    if block_lowering:
-        model.add_constraint_block(
-            np.asarray(batch.rows, dtype=np.int64),
-            np.asarray(batch.cols, dtype=np.int64),
-            np.asarray(batch.coeffs, dtype=np.float64),
-            np.asarray(batch.senses, dtype=np.int8),
-            np.asarray(batch.rhs, dtype=np.float64),
-        )
-        return
-    variables = model.variables
-    terms_by_row: list[dict[Variable, float]] = [{} for _ in batch.rhs]
-    for row, col, coeff in zip(batch.rows, batch.cols, batch.coeffs):
-        terms = terms_by_row[row]
-        variable = variables[col]
-        value = terms.get(variable, 0.0) + coeff
-        if value == 0.0:
-            terms.pop(variable, None)
-        else:
-            terms[variable] = value
-    for row, terms in enumerate(terms_by_row):
-        expression = LinearExpression._make(terms, -batch.rhs[row])
-        constraint = LinearConstraint(expression, _SENSE_TO_ENUM[batch.senses[row]])
-        model.add_constraint(constraint, name=batch.names[row])
+    model.add_constraint_block(
+        np.asarray(batch.rows, dtype=np.int64),
+        np.asarray(batch.cols, dtype=np.int64),
+        np.asarray(batch.coeffs, dtype=np.float64),
+        np.asarray(batch.senses, dtype=np.int8),
+        np.asarray(batch.rhs, dtype=np.float64),
+    )
 
 
 def indicator_rows(
@@ -226,7 +198,6 @@ def build_numerical_predicate_variables(
     annotated: AnnotatedDatabase,
     constant_variables: dict,
     indicator_variables: dict,
-    block_lowering: bool,
 ) -> None:
     """Create the refined-constant and per-value indicator variables for every
     numerical predicate of ``query`` and emit their expression (1)/(2) rows.
@@ -271,7 +242,68 @@ def build_numerical_predicate_variables(
             strict,
             operator.is_lower_bound,
         )
-        flush_rows(model, batch, block_lowering)
+        flush_rows(model, batch)
+
+
+def refined_constant(
+    predicate,
+    annotated: AnnotatedDatabase,
+    solution: Solution,
+    constant_variables: dict,
+    indicator_variables: dict,
+) -> float:
+    """The refined constant of a numerical predicate, read off a solution.
+
+    The indicator decisions fix which domain values the refined predicate
+    keeps; the returned constant keeps exactly those, honouring the
+    operator's strictness.  Preference order:
+
+    * the smallest (``>``/``>=``) or largest (``<``/``<=``) kept value, when
+      it keeps exactly the chosen values and is no farther from the original
+      constant than the solver's raw constant — a readable ``GPA >= 3.6``
+      rather than ``GPA >= 3.5873``;
+    * the solver's raw constant, when it keeps exactly the chosen values;
+    * otherwise (the raw constant sits a rounding error outside the values'
+      interval, or a strict operator excludes the boundary value) the point
+      of the interval the expression (1)/(2) rows admit that is nearest the
+      original constant.  That interval contains the raw constant up to the
+      solver's feasibility tolerance, so the reported distance never exceeds
+      the objective by more than that tolerance.
+
+    Shared by the Figure 1 builder and the Erica baseline.
+    """
+    attribute, operator = predicate.attribute, predicate.operator
+    original = predicate.constant
+    raw = solution.value(constant_variables[(attribute, operator)])
+    kept: list[float] = []
+    dropped: list[float] = []
+    for value in annotated.numeric_domain(attribute):
+        indicator = indicator_variables[(attribute, operator, value)]
+        (kept if solution.value(indicator) > 0.5 else dropped).append(value)
+
+    def keeps_exactly(constant: float) -> bool:
+        return all(operator.compare(value, constant) for value in kept) and not any(
+            operator.compare(value, constant) for value in dropped
+        )
+
+    if kept:
+        snapped = min(kept) if operator.is_lower_bound else max(kept)
+        if abs(snapped - original) <= abs(raw - original) + 1e-9 and keeps_exactly(
+            snapped
+        ):
+            return snapped
+    if keeps_exactly(raw):
+        return raw
+    # The constants the indicator rows admit for this decision.
+    gap = annotated.smallest_gap(attribute)
+    strict = 1.0 if operator.is_strict else 0.0
+    if operator.is_lower_bound:
+        low = max(dropped) + (1.0 - strict) * gap if dropped else -math.inf
+        high = min(kept) - strict * gap if kept else math.inf
+    else:
+        low = max(kept) + strict * gap if kept else -math.inf
+        high = min(dropped) - (1.0 - strict) * gap if dropped else math.inf
+    return min(max(original, low), high)
 
 
 def selection_rows(
@@ -280,7 +312,6 @@ def selection_rows(
     duplicate_cols,
     selection_col: int,
     num_predicates: int,
-    name: str | None = None,
 ) -> None:
     """Append the expression (3) row pair tying a selection binary to its
     lineage (and, for DISTINCT queries, its better-ranked duplicates):
@@ -291,14 +322,8 @@ def selection_rows(
     cols = list(atom_cols) + list(duplicate_cols) + [selection_col]
     coeffs = [1.0] * len(atom_cols) + [-1.0] * len(duplicate_cols) + [-float(bound)]
     offset = float(len(duplicate_cols))
-    batch.add_row(
-        cols, coeffs, SENSE_GE, -offset,
-        name=f"select_lb[{name}]" if name else None,
-    )
-    batch.add_row(
-        cols, coeffs, SENSE_LE, float(bound - 1) - offset,
-        name=f"select_ub[{name}]" if name else None,
-    )
+    batch.add_row(cols, coeffs, SENSE_GE, -offset)
+    batch.add_row(cols, coeffs, SENSE_LE, float(bound - 1) - offset)
 
 
 @dataclass
@@ -306,11 +331,12 @@ class BuildArtifacts:
     """Everything the solver needs after the model is built.
 
     ``lazy_pools`` is non-empty only under
-    ``BuilderOptions(lazy_generation=True)``: the withheld constraint
-    families the cut-loop driver separates over.  Pool state (which rows are
-    still pending) lives on the artifacts, so repeated solves of a prepared
-    problem — portfolio time slices, a warm service session — resume from
-    whatever rows earlier rounds already generated.
+    ``BuilderOptions(lazy_generation=True)`` and at or over the pool-size
+    floor: the withheld constraint families the cut loop separates over.
+    Pool state (which rows are still pending) lives on the artifacts,
+    so repeated solves of a prepared problem — portfolio time slices, a warm
+    service session — resume from whatever rows earlier rounds already
+    generated.
     """
 
     model: Model
@@ -368,11 +394,6 @@ class MILPBuilder:
         self._merged_selection = merge_lineage
         self._lazy_pools = []
         self._rank_completion: RankCompletion | None = None
-        sink = (
-            LinkingConstraintSink(self._model)
-            if self.options.lazy_generation
-            else None
-        )
 
         self._build_predicate_variables()
         self._build_selection_variables(merge_lineage)
@@ -389,26 +410,43 @@ class MILPBuilder:
             categorical_variables=self._categorical_variables,
             numerical_constant_variables=self._numerical_constant_variables,
             topk_variables=self._topk_variables,
-            linking_sink=sink,
         )
 
         distance_required = self.distance.required_topk_positions(context)
         needed = self._needed_topk(distance_required)
+        seed_positions = {
+            position
+            for positions in context.original_topk_positions
+            for position in positions
+        }
+        # The floor: pool the rank/top-k rows only when enough of them stay
+        # pending once the original top-k positions' rows are seeded.
+        pending = sum(
+            1 + 2 * len(ks)
+            for position, ks in needed.items()
+            if position not in seed_positions
+        )
+        self._pooled = (
+            self.options.lazy_generation
+            and pending >= lazy_generation.MIN_LAZY_POOL_ROWS
+        )
         self._build_rank_and_topk_variables(needed, set(distance_required))
         self._build_deviation_constraints()
 
         objective = self.distance.build_objective(context)
         self._model.minimize(objective)
-        if sink is not None and len(sink):
-            self._lazy_pools.append(sink.into_pool("distance"))
         if self._lazy_pools:
-            self._seed_original_topk_groups(context)
+            self._seed_original_topk_groups(seed_positions)
+        # Linking rows reference only original top-k positions, so they go
+        # in after the seed rather than into a pool.
+        for constraint in context.linking_constraints:
+            self._model.add_constraint(constraint)
 
         statistics = dict(self._model.summary())
         statistics["annotated_tuples"] = len(self.annotated)
         statistics["lineage_classes"] = self.annotated.num_lineage_classes
         statistics["topk_variables"] = len(self._topk_variables)
-        if self.options.lazy_generation:
+        if self._pooled:
             # The seed is what the first relaxation actually carries; pending
             # pool rows only enter the model when the cut loop generates them.
             statistics["seed_rows"] = self._model.num_constraints
@@ -426,28 +464,19 @@ class MILPBuilder:
             complete_candidate=self._rank_completion,
         )
 
-    def _seed_original_topk_groups(self, context: MILPBuildContext) -> None:
+    def _seed_original_topk_groups(self, seed_positions: set[int]) -> None:
         """Move the original top-k positions' pool groups into the eager seed.
 
         The objective scores exactly these positions (a distance-0 refinement
-        keeps every one of them in the top-k), so their rank/membership/linking
-        rows are active at almost every optimum.  Seeding them up front saves
-        the cut loop a crawl of rounds that would pull them in one group at a
+        keeps every one of them in the top-k), so their rank/membership rows
+        are active at almost every optimum.  Seeding them up front saves the
+        cut loop a crawl of rounds that would pull them in one group at a
         time, while the bulk of the pools — the rank machinery of every
         *other* tuple — stays lazy.
         """
-        seed_keys = np.unique(
-            np.fromiter(
-                (
-                    position
-                    for positions in context.original_topk_positions
-                    for position in positions
-                ),
-                dtype=np.int64,
-            )
-        )
-        if not seed_keys.size:
+        if not seed_positions:
             return
+        seed_keys = np.fromiter(seed_positions, dtype=np.int64)
         for pool in self._lazy_pools:
             block = pool.take(seed_keys)
             if block is not None:
@@ -458,8 +487,7 @@ class MILPBuilder:
     # -- row emission ----------------------------------------------------------------
 
     def _flush(self, batch: RowBatch) -> None:
-        """Move a finished row batch into the model via the selected path."""
-        flush_rows(self._model, batch, self.options.block_lowering)
+        flush_rows(self._model, batch)
 
     def _column(self, variable: Variable) -> int:
         return self._model.index_of(variable)
@@ -479,7 +507,6 @@ class MILPBuilder:
             self.annotated,
             self._numerical_constant_variables,
             self._numerical_indicator_variables,
-            self.options.block_lowering,
         )
 
     # -- expression (3): tuple selection -------------------------------------------------
@@ -507,7 +534,6 @@ class MILPBuilder:
                     (),
                     self._column(variable),
                     num_predicates,
-                    name=f"class{class_index}",
                 )
             self._flush(batch)
             return
@@ -528,7 +554,6 @@ class MILPBuilder:
                 ],
                 self._column(self._selection_variables[position]),
                 num_predicates,
-                name=str(position),
             )
         self._flush(batch)
 
@@ -540,13 +565,7 @@ class MILPBuilder:
             self._column(self._selection_variables[annotated_tuple.position])
             for annotated_tuple in self.annotated.tuples
         ]
-        batch.add_row(
-            cols,
-            [1.0] * len(cols),
-            SENSE_GE,
-            float(self.constraints.k_star),
-            name="min_output_size",
-        )
+        batch.add_row(cols, [1.0] * len(cols), SENSE_GE, float(self.constraints.k_star))
         self._flush(batch)
 
     # -- expressions (5) and (6): ranks and top-k membership ------------------------------
@@ -657,17 +676,17 @@ class MILPBuilder:
                 coeffs.append(-1.0)
             cols.extend(selection_cols[lo:hi])
             coeffs.extend([-1.0] * (hi - lo))
-            chain_batch.add_row(cols, coeffs, SENSE_EQ, 0.0, name=label)
+            chain_batch.add_row(cols, coeffs, SENSE_EQ, 0.0)
             chain_cols.append(chain_col)
         self._flush(chain_batch)
 
-        # Under lazy generation the rank-definition and top-k membership rows
-        # are withheld as two pools keyed by tuple position (the chain rows
-        # above stay eager: they only tie the prefix variables to the
-        # selection variables and every rank row references them).  The loop
-        # below is shared by both modes so the eager path keeps its exact row
-        # emission order.
-        lazy = self.options.lazy_generation
+        # Over the floor the rank-definition and top-k membership rows are
+        # withheld as two pools keyed by tuple position (the chain rows above
+        # stay eager: they only tie the prefix variables to the selection
+        # variables and every rank row references them).  The loop below is
+        # shared by both modes so the eager path keeps its exact row emission
+        # order.
+        lazy = self._pooled
         batch = RowBatch()
         rank_batch = RowBatch() if lazy else batch
         topk_batch = RowBatch() if lazy else batch
@@ -710,20 +729,12 @@ class MILPBuilder:
                 in ({BoundType.LOWER}, {BoundType.UPPER})
             )
             if relax and bound_types[position] == {BoundType.LOWER}:
-                rank_batch.add_row(
-                    definition_cols, definition_coeffs, SENSE_GE, definition_rhs,
-                    name=f"rank_lb[{position}]",
-                )
+                sense = SENSE_GE
             elif relax and bound_types[position] == {BoundType.UPPER}:
-                rank_batch.add_row(
-                    definition_cols, definition_coeffs, SENSE_LE, definition_rhs,
-                    name=f"rank_ub[{position}]",
-                )
+                sense = SENSE_LE
             else:
-                rank_batch.add_row(
-                    definition_cols, definition_coeffs, SENSE_EQ, definition_rhs,
-                    name=f"rank[{position}]",
-                )
+                sense = SENSE_EQ
+            rank_batch.add_row(definition_cols, definition_coeffs, sense, definition_rhs)
             rank_keys.append(position)
             if lazy:
                 row = len(completion_rhs)
@@ -742,12 +753,10 @@ class MILPBuilder:
                 topk_batch.add_row(
                     [rank_col, member_col], [1.0, coefficient],
                     SENSE_GE, float(k) + _RANK_DELTA,
-                    name=f"topk_lb[{position},{k}]",
                 )
                 topk_batch.add_row(
                     [rank_col, member_col], [1.0, coefficient],
                     SENSE_LE, float(k) + coefficient,
-                    name=f"topk_ub[{position},{k}]",
                 )
                 topk_keys.extend((position, position))
         if lazy:
@@ -818,41 +827,17 @@ class MILPBuilder:
                 )
             categorical[predicate.attribute] = selected
 
-        numerical: dict[tuple[str, Operator], float] = {}
-        for predicate in self.query.numerical_predicates:
-            key = (predicate.attribute, predicate.operator)
-            raw = solution.value(self._numerical_constant_variables[key])
-            numerical[key] = self._snap_constant(predicate, raw, solution)
-
-        return Refinement(numerical=numerical, categorical=categorical)
-
-    def _snap_constant(self, predicate, raw: float, solution: Solution) -> float:
-        """Snap the continuous constant to the most conservative equivalent value.
-
-        Any constant between two adjacent domain values selects the same
-        tuples; snapping to the boundary of the selected value set makes the
-        refined query readable (``GPA >= 3.6`` rather than ``GPA >= 3.5873``)
-        without changing its output or its predicate distance beyond what the
-        solver already paid for.
-        """
-        attribute, operator = predicate.attribute, predicate.operator
-        selected_values = [
-            value
-            for value in self.annotated.numeric_domain(attribute)
-            if solution.value(
-                self._numerical_indicator_variables[(attribute, operator, value)]
+        numerical = {
+            (predicate.attribute, predicate.operator): refined_constant(
+                predicate,
+                self.annotated,
+                solution,
+                self._numerical_constant_variables,
+                self._numerical_indicator_variables,
             )
-            > 0.5
-        ]
-        if not selected_values:
-            return raw
-        snapped = min(selected_values) if operator.is_lower_bound else max(selected_values)
-        # Never make the refinement look farther from the original query than
-        # the constant the solver actually chose (that would break the match
-        # between the reported distance and the MILP objective).
-        if abs(snapped - predicate.constant) <= abs(raw - predicate.constant) + 1e-9:
-            return snapped
-        return raw
+            for predicate in self.query.numerical_predicates
+        }
+        return Refinement(numerical=numerical, categorical=categorical)
 
 
 def build_model(

@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from repro.core import parallel
 from repro.core.constraints import ConstraintSet
 from repro.core.distances import DistanceMeasure, PredicateDistance, get_distance
@@ -28,11 +30,6 @@ from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.predicates import Operator
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
-
-try:  # pragma: no cover - gated via columnar.vectorization_enabled()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 @dataclass
@@ -353,8 +350,8 @@ class MaskIndexData:
             values = store.numeric(predicate.attribute)
             if values is None:
                 return None
-            valid = _np.flatnonzero(~_np.isnan(values))
-            order = valid[_np.argsort(values[valid], kind="stable")]
+            valid = np.flatnonzero(~np.isnan(values))
+            order = valid[np.argsort(values[valid], kind="stable")]
             numeric_index[predicate.attribute] = (order, values[order])
         value_masks: dict[str, dict] = {}
         for predicate in query.categorical_predicates:
@@ -393,26 +390,25 @@ class _CandidateMaskIndex:
     only the most recent mask per predicate is kept, which still serves the
     outer predicates of the nested enumeration).
 
-    The categorical side of a sweep is *incremental* (``incremental=True``):
-    candidate subsets arrive in toggle order, so consecutive candidates
-    differ in a handful of values, and each per-value mask partitions the
-    rows — updating the previous candidate's cached mask with one in-place
-    XOR per toggled value replaces the full OR-reduce over the subset.  The
-    AND of all numerical part masks is likewise cached across the categorical
-    chain (the numerical constants only change when a chain ends).
+    The categorical side of a sweep is *incremental*: candidate subsets
+    arrive in toggle order, so consecutive candidates differ in a handful of
+    values, and each per-value mask partitions the rows — updating the
+    previous candidate's cached mask with one in-place XOR per toggled value
+    replaces the full OR-reduce over the subset.  The AND of all numerical
+    part masks is likewise cached across the categorical chain (the
+    numerical constants only change when a chain ends).
     """
 
     #: Sweep-wide cache budget in bytes, covering the cached boolean part
     #: masks *and* the int64 positions/values arrays of the numeric index.
     CACHE_BUDGET_BYTES = 64_000_000
 
-    def __init__(self, data: MaskIndexData, incremental=True) -> None:
+    def __init__(self, data: MaskIndexData) -> None:
         self._data = data
         self._length = data.length
         self._numeric = data.numeric_index
         self._value_masks = data.value_masks
         self._distinct_codes = data.distinct_codes
-        self._incremental = bool(incremental)
         #: (attribute, operator) -> {threshold: (start, stop) into the order array}
         self._windows: dict = {}
         #: (attribute, operator) -> {threshold: mask} of built part masks.  The
@@ -427,15 +423,6 @@ class _CandidateMaskIndex:
         self._chain: dict = {}
         #: [numeric constants key, combined numeric mask] cache.
         self._numeric_prefix: list | None = None
-
-    @classmethod
-    def build(
-        cls, query: SPJQuery, base: Relation, incremental: bool = True
-    ) -> "_CandidateMaskIndex | None":
-        data = MaskIndexData.build(query, base)
-        if data is None:
-            return None
-        return cls(data, incremental)
 
     def prepare_sweep(self, query: SPJQuery, space) -> None:
         """Batch-resolve every candidate threshold of a refinement sweep.
@@ -453,7 +440,7 @@ class _CandidateMaskIndex:
             if entry is None:
                 continue
             _, sorted_values = entry
-            thresholds = _np.asarray(
+            thresholds = np.asarray(
                 space.numerical_candidates(key), dtype=float
             )
             total_masks += thresholds.shape[0]
@@ -485,22 +472,22 @@ class _CandidateMaskIndex:
         """``[start, stop)`` windows for many thresholds of one predicate."""
         total = int(sorted_values.shape[0])
         if operator is Operator.GREATER_EQUAL:
-            cuts = _np.searchsorted(sorted_values, thresholds, side="left")
+            cuts = np.searchsorted(sorted_values, thresholds, side="left")
             return [(int(cut), total) for cut in cuts]
         if operator is Operator.GREATER:
-            cuts = _np.searchsorted(sorted_values, thresholds, side="right")
+            cuts = np.searchsorted(sorted_values, thresholds, side="right")
             return [(int(cut), total) for cut in cuts]
         if operator is Operator.LESS_EQUAL:
-            cuts = _np.searchsorted(sorted_values, thresholds, side="right")
+            cuts = np.searchsorted(sorted_values, thresholds, side="right")
             return [(0, int(cut)) for cut in cuts]
         if operator is Operator.LESS:
-            cuts = _np.searchsorted(sorted_values, thresholds, side="left")
+            cuts = np.searchsorted(sorted_values, thresholds, side="left")
             return [(0, int(cut)) for cut in cuts]
-        low = _np.searchsorted(sorted_values, thresholds, side="left")
-        high = _np.searchsorted(sorted_values, thresholds, side="right")
+        low = np.searchsorted(sorted_values, thresholds, side="left")
+        high = np.searchsorted(sorted_values, thresholds, side="right")
         return [(int(lo), int(hi)) for lo, hi in zip(low, high)]
 
-    def _numeric_part(self, predicate, constant, batched: bool):
+    def _numeric_part(self, predicate, constant):
         """Boolean mask of one numerical predicate (cached per sweep threshold).
 
         ``constant`` is the refined threshold (it may differ from
@@ -508,40 +495,37 @@ class _CandidateMaskIndex:
         the original query's predicates).
         """
         key = (predicate.attribute, predicate.operator)
-        if batched:
-            cached = self._parts.get(key)
-            if cached is not None:
-                part = cached.get(constant)
-                if part is not None:
-                    return part
+        cached = self._parts.get(key)
+        if cached is not None:
+            part = cached.get(constant)
+            if part is not None:
+                return part
         entry = self._numeric.get(predicate.attribute)
         if entry is None:
             return None
         order, sorted_values = entry
-        window = self._windows.get(key, {}).get(constant) if batched else None
+        window = self._windows.get(key, {}).get(constant)
         if window is None:
             window = self._batched_windows(
-                sorted_values, _np.asarray([constant], dtype=float), predicate.operator
+                sorted_values, np.asarray([constant], dtype=float), predicate.operator
             )[0]
         start, stop = window
-        part = _np.zeros(self._length, dtype=bool)
+        part = np.zeros(self._length, dtype=bool)
         part[order[start:stop]] = True
-        if batched:
-            if self._keep_all_parts:
-                self._parts.setdefault(key, {})[constant] = part
-            else:
-                self._parts[key] = {constant: part}
+        if self._keep_all_parts:
+            self._parts.setdefault(key, {})[constant] = part
+        else:
+            self._parts[key] = {constant: part}
         return part
 
-    def _categorical_part(self, attribute: str, values, batched: bool):
+    def _categorical_part(self, attribute: str, values):
         """Boolean mask of one categorical predicate.
 
-        On the incremental path the previous candidate's mask is cached per
-        attribute and updated with one in-place XOR per toggled value —
-        valid because the per-value masks partition the rows, so toggling a
-        value flips exactly its rows.  ``False`` signals an unknown
-        attribute (caller falls back), ``None`` a candidate that selects
-        nothing.
+        The previous candidate's mask is cached per attribute and updated
+        with one in-place XOR per toggled value — valid because the
+        per-value masks partition the rows, so toggling a value flips
+        exactly its rows.  ``False`` signals an unknown attribute (caller
+        falls back), ``None`` a candidate that selects nothing.
         """
         masks = self._value_masks.get(attribute)
         if masks is None:
@@ -552,88 +536,77 @@ class _CandidateMaskIndex:
             subset = frozenset(value for value in values if value in masks)
         if not subset:
             return None
-        if batched and self._incremental:
-            cached = self._chain.get(attribute)
-            if cached is not None:
-                last, buffer = cached
-                toggled = subset ^ last
-                if len(toggled) < len(subset):
-                    for value in toggled:
-                        _np.logical_xor(buffer, masks[value], out=buffer)
-                    cached[0] = subset
-                    return buffer
+        cached = self._chain.get(attribute)
+        if cached is not None:
+            last, buffer = cached
+            toggled = subset ^ last
+            if len(toggled) < len(subset):
+                for value in toggled:
+                    np.logical_xor(buffer, masks[value], out=buffer)
+                cached[0] = subset
+                return buffer
         selected = [masks[value] for value in subset]
         if len(selected) == 1:
-            part = selected[0]
-        else:
-            part = _np.logical_or.reduce(selected)
-        if batched and self._incremental:
             # Seed the chain cache with a private buffer (per-value masks are
             # shared and must never be XORed in place).
-            buffer = part.copy() if len(selected) == 1 else part
-            self._chain[attribute] = [subset, buffer]
-            return buffer
-        return part
+            buffer = selected[0].copy()
+        else:
+            buffer = np.logical_or.reduce(selected)
+        self._chain[attribute] = [subset, buffer]
+        return buffer
 
-    def _numeric_conjunction(self, constants: tuple, predicates, batched: bool):
+    def _numeric_conjunction(self, constants: tuple, predicates):
         """AND of all numerical part masks (``False`` -> caller fallback).
 
-        On the incremental path the combined mask is cached under the tuple
-        of constants: the numerical constants only change when a categorical
-        chain rolls over, so the whole chain reuses one cached AND.
-        ``predicates`` supplies the ``(attribute, operator)`` of each
-        constant, in query order.
+        The combined mask is cached under the tuple of constants: the
+        numerical constants only change when a categorical chain rolls over,
+        so the whole chain reuses one cached AND.  ``predicates`` supplies the
+        ``(attribute, operator)`` of each constant, in query order.
         """
         if not predicates:
             return None
-        key = None
-        if batched and self._incremental:
-            key = constants
-            cached = self._numeric_prefix
-            if cached is not None and cached[0] == key:
-                return cached[1]
+        cached = self._numeric_prefix
+        if cached is not None and cached[0] == constants:
+            return cached[1]
         parts = []
         for predicate, constant in zip(predicates, constants):
-            part = self._numeric_part(predicate, constant, batched)
+            part = self._numeric_part(predicate, constant)
             if part is None:
                 return False
             parts.append(part)
-        combined = parts[0] if len(parts) == 1 else _np.logical_and.reduce(parts)
-        if key is not None:
-            self._numeric_prefix = [key, combined]
+        combined = parts[0] if len(parts) == 1 else np.logical_and.reduce(parts)
+        self._numeric_prefix = [constants, combined]
         return combined
 
     def _positions_from_parts(self, numeric, categorical_parts):
         parts = ([] if numeric is None else [numeric]) + categorical_parts
         if not parts:
-            positions = _np.arange(self._length)
+            positions = np.arange(self._length)
         elif len(parts) == 1:
-            positions = _np.flatnonzero(parts[0])
+            positions = np.flatnonzero(parts[0])
         else:
-            positions = _np.flatnonzero(_np.logical_and.reduce(parts))
+            positions = np.flatnonzero(np.logical_and.reduce(parts))
         if self._distinct_codes is not None and positions.size:
             codes = self._distinct_codes[positions]
-            _, first = _np.unique(codes, return_index=True)
-            positions = positions[_np.sort(first)]
+            _, first = np.unique(codes, return_index=True)
+            positions = positions[np.sort(first)]
         return positions
 
-    def selected_positions(self, refined_query: SPJQuery, batched: bool = True):
+    def selected_positions(self, refined_query: SPJQuery):
         """Rank-ordered positions of ``~Q(D)`` selected by the refined query."""
         predicates = refined_query.numerical_predicates
         numeric = self._numeric_conjunction(
-            tuple(predicate.constant for predicate in predicates),
-            predicates,
-            batched,
+            tuple(predicate.constant for predicate in predicates), predicates
         )
         if numeric is False:
             return None
         categorical_parts = []
         for predicate in refined_query.categorical_predicates:
-            part = self._categorical_part(predicate.attribute, predicate.values, batched)
+            part = self._categorical_part(predicate.attribute, predicate.values)
             if part is False:
                 return None
             if part is None:
-                return _np.empty(0, dtype=_np.int64)
+                return np.empty(0, dtype=np.int64)
             categorical_parts.append(part)
         return self._positions_from_parts(numeric, categorical_parts)
 
@@ -651,18 +624,18 @@ class _CandidateMaskIndex:
             numerical.get((predicate.attribute, predicate.operator), predicate.constant)
             for predicate in predicates
         )
-        numeric = self._numeric_conjunction(constants, predicates, True)
+        numeric = self._numeric_conjunction(constants, predicates)
         if numeric is False:
             return None
         categorical = refinement.categorical
         categorical_parts = []
         for predicate in query.categorical_predicates:
             values = categorical.get(predicate.attribute, predicate.values)
-            part = self._categorical_part(predicate.attribute, values, True)
+            part = self._categorical_part(predicate.attribute, values)
             if part is False:
                 return None
             if part is None:
-                return _np.empty(0, dtype=_np.int64)
+                return np.empty(0, dtype=np.int64)
             categorical_parts.append(part)
         return self._positions_from_parts(numeric, categorical_parts)
 
@@ -670,15 +643,11 @@ class _CandidateMaskIndex:
 class NaiveProvenanceSearch(_BaseExhaustiveSearch):
     """The paper's ``Naive+prov``: candidates are evaluated on the annotations.
 
-    ``batched_sweeps`` (default on) resolves every numerical candidate
-    threshold up front with one batched ``searchsorted`` per predicate and
-    reuses per-predicate masks across the sweep; turning it off restores the
-    per-candidate evaluation of the plain columnar engine, which the
-    sweep-batching benchmark uses as its baseline.  ``incremental_categorical``
-    (default on) additionally evaluates categorical subset chains by XOR-ing
-    only the toggled values over the previous candidate's cached mask;
-    turning it off restores the per-candidate OR-reduce, which the
-    incremental-categorical benchmark uses as its baseline.
+    Every numerical candidate threshold is resolved up front with one batched
+    ``searchsorted`` per predicate, per-predicate masks are reused across the
+    sweep, and categorical subset chains are evaluated by XOR-ing only the
+    toggled values over the previous candidate's cached mask (see
+    :class:`_CandidateMaskIndex`).
     """
 
     method = "naive+prov"
@@ -686,14 +655,10 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
     def __init__(
         self,
         *args,
-        batched_sweeps: bool = True,
-        incremental_categorical: bool = True,
         mask_data: MaskIndexData | None = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self._batched = bool(batched_sweeps)
-        self._incremental = bool(incremental_categorical)
         self._mask_data = mask_data
         self._annotated: AnnotatedDatabase | None = None
         self._schema = None
@@ -716,10 +681,8 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         data = self._mask_data
         if data is None:
             data = MaskIndexData.build(self.query, self._base)
-        self._fast = (
-            None if data is None else _CandidateMaskIndex(data, self._incremental)
-        )
-        if self._fast is not None and self._batched and self._space is not None:
+        self._fast = None if data is None else _CandidateMaskIndex(data)
+        if self._fast is not None and self._space is not None:
             self._fast.prepare_sweep(self.query, self._space)
         store = self._base.column_store()
         if store is not None:
@@ -745,7 +708,7 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
             group = constraint.group
             if group in masks:
                 continue
-            mask = _np.ones(store.length, dtype=bool)
+            mask = np.ones(store.length, dtype=bool)
             for attribute, value in group.condition_map.items():
                 if attribute not in self._base.schema:
                     return None
@@ -758,7 +721,7 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
                 except TypeError:
                     return None
                 if code is None:
-                    mask = _np.zeros(store.length, dtype=bool)
+                    mask = np.zeros(store.length, dtype=bool)
                     break
                 mask &= codes == code
             masks[group] = mask
@@ -791,7 +754,6 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         """
         if (
             self._fast is None
-            or not self._batched
             or self._group_masks is None
             or not isinstance(self.distance, PredicateDistance)
         ):
@@ -814,22 +776,16 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         its value; DISTINCT de-duplication keeps the better-ranked tuple.  The
         tuples of ``~Q(D)`` are already in rank order, so the selected tuples
         are too.  The columnar fast path composes precomputed per-atom masks;
-        the row-based reference below remains for parity testing and as the
-        NumPy-free fallback.
+        the row-based reference below remains for parity testing (under
+        :func:`repro.relational.columnar.rowwise_fallback`) and for columns
+        the mask index cannot resolve.
         """
         self._positions = None
         if self._fast is not None:
-            positions = self._fast.selected_positions(refined_query, self._batched)
+            positions = self._fast.selected_positions(refined_query)
             if positions is not None:
-                if self._batched:
-                    self._positions = positions
+                self._positions = positions
                 relation = self._base.take(positions).rename(refined_query.name)
-                if not self._batched:
-                    # Reconstruct the pre-batching cost model: the old engine
-                    # gathered every column and cached view per candidate.
-                    store = relation.column_store()
-                    if store is not None:
-                        store.materialize()
                 projected = (
                     relation.project(list(refined_query.select))
                     if refined_query.select

@@ -41,43 +41,25 @@ class BuilderOptions:
     relax_rank_expressions:
         Replace the rank-definition equality with an inequality for tuples
         whose groups have only lower-bound (or only upper-bound) constraints.
-    block_lowering:
-        Emit constraint families as COO row blocks
-        (:meth:`repro.milp.Model.add_constraint_block`) instead of one
-        :class:`LinearConstraint` per row.  This is a *lowering* detail, not a
-        Section 4 optimization: both values produce matrix-identical standard
-        forms (asserted by the golden tests), so it is ``True`` for the
-        paper's ``MILP`` and ``MILP+opt`` configurations alike and exists as
-        a switch only for those tests and for debugging.
     lazy_generation:
-        Withhold the separable constraint families (rank definitions, top-k
-        membership rows, Kendall distance-linking rows) from the model as
-        :class:`repro.core.lazy_generation.LazyPool` objects instead of
-        lowering them eagerly; the solver facade then drives the
-        cutting-plane loop (:func:`repro.core.lazy_generation.run_cut_loop`)
-        over them.  Like ``block_lowering`` this is a solve strategy, not a
-        Section 4 optimization — the loop provably converges to the same
-        optima — so it defaults to ``False`` here and is switched on by
-        :class:`repro.core.solver.RefinementSolver` for the ``MILP`` and
-        ``MILP+opt`` configurations alike (``REPRO_MILP_LAZY``).
-    lazy_generation_min_rows:
-        Pool-size floor for the loop: when a build's pools end up holding
-        fewer pending rows than this, the solver facade rebuilds the model
-        eagerly (byte-identical to ``lazy_generation=False``).  Row
-        generation only pays off when the withheld rows dominate the solve;
-        on small models the repeated backend start-up costs more than it
-        saves.  ``0`` (the default) disables the floor — callers forcing
-        ``lazy_generation=True`` get the loop unconditionally; the solver
-        facade's environment-default path applies
-        :data:`repro.core.lazy_generation.MIN_LAZY_POOL_ROWS`.
+        The caller's promise to drive the cutting-plane loop
+        (:func:`repro.core.lazy_generation.run_cut_loop`) over
+        ``artifacts.lazy_pools``.  With it the builder withholds the rank
+        definitions and top-k membership rows as
+        :class:`repro.core.lazy_generation.LazyPool` objects whenever at least
+        :data:`repro.core.lazy_generation.MIN_LAZY_POOL_ROWS` of them stay
+        pending after seeding, and lowers them eagerly otherwise.  This is a
+        solve strategy, not a Section 4 optimization — the loop provably
+        converges to the same optima — so it defaults to ``False`` here
+        (callers that solve ``artifacts.model`` themselves get the full
+        program) and :class:`repro.core.solver.RefinementSolver` always
+        switches it on.
     """
 
     relevancy_pruning: bool = True
     merge_lineage_variables: bool = True
     relax_rank_expressions: bool = True
-    block_lowering: bool = True
     lazy_generation: bool = False
-    lazy_generation_min_rows: int = 0
 
     @classmethod
     def none(cls) -> "BuilderOptions":

@@ -12,14 +12,13 @@ The solver glues the pieces together:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 
 from repro.core.constraints import ConstraintSet
 from repro.core.deadline import current_deadline
 from repro.core.distances import DistanceMeasure, PredicateDistance, get_distance
-from repro.core.lazy_generation import MIN_LAZY_POOL_ROWS, run_cut_loop
+from repro.core.lazy_generation import run_cut_loop
 from repro.core.milp_builder import BuildArtifacts, MILPBuilder
 from repro.core.optimizations import BuilderOptions, apply_relevancy_pruning
 from repro.core.refinement import Refinement
@@ -30,12 +29,6 @@ from repro.relational.database import Database
 from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.query import SPJQuery
 from repro.relational.sqlgen import render_sql
-
-
-def lazy_generation_default() -> bool:
-    """Whether ``REPRO_MILP_LAZY`` enables the cutting-plane loop (default on)."""
-    value = os.environ.get("REPRO_MILP_LAZY", "1").strip().lower()
-    return value not in ("0", "false", "off", "no", "")
 
 
 @dataclass
@@ -128,18 +121,15 @@ class RefinementSolver:
         on-disk sqlite path, forwarded to :class:`QueryExecutor`; both
         default to the ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_DB``
         environment variables.
-    lazy_generation:
-        Drive the solve as a cutting-plane loop over lazily-generated
-        constraint pools (see :mod:`repro.core.lazy_generation`) instead of
-        lowering every row eagerly.  ``None`` (the default) follows the
-        ``REPRO_MILP_LAZY`` environment variable, which defaults to on, and
-        additionally applies a pool-size floor
-        (:data:`~repro.core.lazy_generation.MIN_LAZY_POOL_ROWS`): models too
-        small for row generation to pay off solve eagerly.  Passing ``True``
-        explicitly forces the loop regardless of model size.  The loop
-        converges to the same optima as the eager lowering and returns a
-        typed time-limited incumbent when the budget or the ambient
-        :class:`~repro.core.deadline.Deadline` expires.
+
+    The MILP is built once per :meth:`prepare`.  When enough rank/top-k rows
+    stay pending after seeding (the pool-size floor,
+    :data:`~repro.core.lazy_generation.MIN_LAZY_POOL_ROWS`), the builder
+    withholds them as lazy pools and :meth:`solve` drives a cutting-plane
+    loop over them (see :mod:`repro.core.lazy_generation`); smaller models
+    are lowered and solved eagerly.  The loop converges to the same optima as
+    the eager lowering and returns a typed time-limited incumbent when the
+    budget or the ambient :class:`~repro.core.deadline.Deadline` expires.
     """
 
     def __init__(
@@ -157,7 +147,6 @@ class RefinementSolver:
         solver_options: dict | None = None,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
-        lazy_generation: bool | None = None,
     ) -> None:
         method = method.lower()
         if method not in ("milp", "milp+opt"):
@@ -171,25 +160,10 @@ class RefinementSolver:
         self.backend = backend
         self.time_limit = time_limit
         self.solver_options = dict(solver_options or {})
-        self.lazy_generation = (
-            lazy_generation
-            if lazy_generation is not None
-            else lazy_generation_default()
+        self.options = replace(
+            BuilderOptions.all() if method == "milp+opt" else BuilderOptions.none(),
+            lazy_generation=True,
         )
-        self.options = (
-            BuilderOptions.all() if method == "milp+opt" else BuilderOptions.none()
-        )
-        if self.lazy_generation:
-            # An explicit lazy_generation=True forces the loop; the
-            # environment-default path applies the pool-size floor so small
-            # models (where the loop's extra backend start-ups cost more
-            # than the smaller matrix saves) stay on the eager lowering.
-            min_rows = MIN_LAZY_POOL_ROWS if lazy_generation is None else 0
-            self.options = replace(
-                self.options,
-                lazy_generation=True,
-                lazy_generation_min_rows=min_rows,
-            )
         # A warm dataset session shares its executor and pre-annotated ~Q(D)
         # across solver instances; one-shot callers build both here.
         self._executor = executor or QueryExecutor(
@@ -299,24 +273,7 @@ class RefinementSolver:
             original_result=original_result,
             options=self.options,
         )
-        artifacts = builder.build()
-        if artifacts.lazy_pools and self.options.lazy_generation_min_rows:
-            pending = sum(pool.num_pending for pool in artifacts.lazy_pools)
-            if pending < self.options.lazy_generation_min_rows:
-                # Too small for row generation to pay off: rebuild eagerly
-                # so the model (and its row order) is byte-identical to the
-                # lazy_generation=False lowering.  Small pools mean a small
-                # model, so the second build costs milliseconds.
-                artifacts = MILPBuilder(
-                    query=self.query,
-                    annotated=annotated,
-                    constraints=self.constraints,
-                    epsilon=self.epsilon,
-                    distance=self.distance,
-                    original_result=original_result,
-                    options=replace(self.options, lazy_generation=False),
-                ).build()
-        return original_result, artifacts
+        return original_result, builder.build()
 
     def _maybe_prune(
         self, annotated: AnnotatedDatabase, original_result: RankedResult

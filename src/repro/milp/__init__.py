@@ -8,8 +8,8 @@ the substrate from scratch:
   :class:`LinearConstraint`, :class:`Model`) with a PuLP-like feel, and
 * two interchangeable exact backends — :mod:`repro.milp.solvers.scipy_backend`
   (HiGHS via :func:`scipy.optimize.milp`) and
-  :mod:`repro.milp.solvers.branch_and_bound` (pure-Python best-first branch
-  and bound over LP relaxations).
+  :mod:`repro.milp.solvers.branch_and_bound` (best-first branch and bound
+  over LP relaxations).
 
 Typical usage::
 

@@ -4,17 +4,15 @@ Two exact backends are provided:
 
 ``"scipy"``
     Wraps :func:`scipy.optimize.milp` (the HiGHS branch-and-cut solver).  This
-    is the default when SciPy exposes ``milp``.
+    is the default.
 
 ``"branch_and_bound"``
-    A pure-Python best-first branch-and-bound over LP relaxations solved with
-    :func:`scipy.optimize.linprog`.  It is exact but slower; it exists as an
-    independent cross-check of the HiGHS results and as the fallback when a
-    SciPy build lacks ``milp``.
+    A best-first branch-and-bound written in Python over LP relaxations
+    solved with :func:`scipy.optimize.linprog`.  It is exact but slower; it
+    exists as an independent cross-check of the HiGHS results.
 
-``get_solver("auto")`` first honours the ``REPRO_MILP_BACKEND`` environment
-variable (any registered backend name), then picks ``scipy`` when available,
-otherwise ``branch_and_bound``.
+``get_solver("auto")`` honours the ``REPRO_MILP_BACKEND`` environment variable
+(any registered backend name) and otherwise picks ``scipy``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import os
 from repro.exceptions import SolverError
 from repro.milp.solvers.base import SolverBackend
 from repro.milp.solvers.branch_and_bound import BranchAndBoundSolver
-from repro.milp.solvers.scipy_backend import ScipySolver, scipy_milp_available
+from repro.milp.solvers.scipy_backend import ScipySolver
 
 _REGISTRY: dict[str, type[SolverBackend]] = {
     "scipy": ScipySolver,
@@ -35,11 +33,8 @@ _REGISTRY: dict[str, type[SolverBackend]] = {
 
 
 def available_solvers() -> list[str]:
-    """Names of backends that can run in the current environment."""
-    names = ["branch_and_bound"]
-    if scipy_milp_available():
-        names.insert(0, "scipy")
-    return names
+    """Names of the registered backends, the default first."""
+    return ["scipy", "branch_and_bound"]
 
 
 #: Environment variable consulted by ``get_solver("auto")``; lets CI and
@@ -53,8 +48,7 @@ def get_solver(name: str = "auto") -> SolverBackend:
     ``"auto"`` resolves, in order: the ``REPRO_MILP_BACKEND`` environment
     variable (when set and non-empty; an unknown value raises
     :class:`~repro.exceptions.SolverError` rather than being silently
-    ignored), then ``"scipy"`` when SciPy exposes ``milp``, then the
-    pure-Python ``"branch_and_bound"`` fallback.
+    ignored), then ``"scipy"``.
     """
     key = name.lower()
     if key == "auto":
@@ -67,7 +61,7 @@ def get_solver(name: str = "auto") -> SolverBackend:
                 )
             key = override
         else:
-            key = "scipy" if scipy_milp_available() else "branch_and_bound"
+            key = "scipy"
     if key not in _REGISTRY:
         raise SolverError(
             f"unknown solver {name!r}; available: {sorted(set(_REGISTRY))}"

@@ -1,4 +1,4 @@
-"""A pure-Python branch-and-bound MILP solver.
+"""A branch-and-bound MILP solver written in Python.
 
 The solver performs a best-first search over LP relaxations solved with
 :func:`scipy.optimize.linprog` (HiGHS LP).  It is exact: it terminates with
@@ -6,8 +6,7 @@ The solver performs a best-first search over LP relaxations solved with
 ``INFEASIBLE`` when no integral assignment satisfies the constraints.  It is
 intentionally simple — no cutting planes, no presolve beyond what HiGHS does
 for each relaxation — because its role in this repository is to cross-check
-the primary SciPy/HiGHS MILP backend and to keep the library functional when
-``scipy.optimize.milp`` is unavailable.
+the primary SciPy/HiGHS MILP backend.
 """
 
 from __future__ import annotations

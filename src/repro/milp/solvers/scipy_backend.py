@@ -7,18 +7,8 @@ import warnings
 
 import numpy as np
 
-from repro.exceptions import SolverError
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers.base import SolverBackend
-
-
-def scipy_milp_available() -> bool:
-    """Whether the installed SciPy exposes :func:`scipy.optimize.milp`."""
-    try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:  # pragma: no cover - depends on environment
-        return False
-    return True
 
 
 # HiGHS status codes documented by scipy.optimize.milp.
@@ -66,12 +56,9 @@ class ScipySolver(SolverBackend):
         guidance then costs one extra (early-stopped) solve instead of
         returning an empty ``ERROR`` solution.
         """
-        try:
-            from scipy.optimize import Bounds, LinearConstraint, milp
-        except ImportError as exc:  # pragma: no cover - depends on environment
-            raise SolverError(
-                "scipy.optimize.milp is unavailable; use the branch_and_bound solver"
-            ) from exc
+        # Resolved per call, so a patched ``scipy.optimize.milp`` (tests,
+        # tracing) takes effect.
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
         form = model.to_standard_form()
         n = len(form.variables)

@@ -7,16 +7,13 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.exceptions import QueryError
 from repro.relational.database import Database
 from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.predicates import Operator
 from repro.relational.query import SPJQuery
-
-try:  # pragma: no cover - optional, used only when a column store exists
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class _RowValues(Mapping):
@@ -384,7 +381,7 @@ def annotate_result(
         if values is None and store is not None:
             view = store.numeric(predicate.attribute)
             if view is not None:
-                values = _np.unique(view[~_np.isnan(view)]).tolist()
+                values = np.unique(view[~np.isnan(view)]).tolist()
         if values is None:
             values = sorted(
                 float(v)

@@ -6,8 +6,8 @@ NumPy column store, converted lazily), selection predicates, and
 Select-Project-Join queries with ``ORDER BY`` and ``DISTINCT``.
 
 Queries run through :class:`QueryExecutor`, which offers two byte-identical
-execution backends: the in-memory engine (vectorized when NumPy is available,
-row-at-a-time otherwise) and a sqlite pushdown backend that evaluates
+execution backends: the in-memory engine (vectorized, with a row-at-a-time
+reference path) and a sqlite pushdown backend that evaluates
 selection, ordering and DISTINCT inside sqlite and only gathers result row
 coordinates back into Python.  Select a backend per executor
 (``QueryExecutor(db, backend="sqlite")``) or process-wide via the

@@ -21,18 +21,18 @@ compose their coordinates so every store points straight at its eager root.
 This is what makes the exhaustive baselines cheap — a candidate refinement's
 result is a coordinate set over the shared ``~Q(D)`` store, and only the
 handful of columns its constraint counts actually touch are ever gathered.
-:meth:`ColumnStore.materialize` forces the old eager semantics (used by the
-benchmark suite to reconstruct the pre-batching cost model).
 
-The module degrades gracefully: when NumPy is unavailable — or vectorization
-is explicitly disabled via :func:`rowwise_fallback` — callers receive ``None``
-from :func:`store_for` and fall back to the original row-at-a-time code paths.
+:func:`rowwise_fallback` disables vectorization for its duration: callers then
+take the original row-at-a-time code paths, which the parity tests hold the
+columnar engine to.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.relational.predicates import (
     CategoricalPredicate,
@@ -42,23 +42,12 @@ from repro.relational.predicates import (
 )
 from repro.relational.schema import Schema
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-
 _VECTORIZATION_ENABLED = True
-
-
-def numpy_available() -> bool:
-    """Whether NumPy could be imported at all."""
-    return _np is not None
 
 
 def vectorization_enabled() -> bool:
     """Whether the columnar fast paths should be used."""
-    return _VECTORIZATION_ENABLED and _np is not None
+    return _VECTORIZATION_ENABLED
 
 
 @contextmanager
@@ -92,8 +81,8 @@ def _compose_coordinates(base, indices, parent_length: int):
             return slice(sub.start, stop, sub.step)
         # Python-style negative positions count from the end of the *base*
         # window, exactly as fancy indexing into the gathered array would.
-        indices = _np.where(indices < 0, indices + len(base_range), indices)
-        return (base_range.start + base_range.step * indices).astype(_np.int64)
+        indices = np.where(indices < 0, indices + len(base_range), indices)
+        return (base_range.start + base_range.step * indices).astype(np.int64)
     return base[indices]
 
 
@@ -130,8 +119,8 @@ class ColumnStore:
         width = len(schema)
         count = len(rows)
         if count == 0:
-            return cls(schema, [_np.empty(0, dtype=object) for _ in range(width)], 0)
-        matrix = _np.empty((count, width), dtype=object)
+            return cls(schema, [np.empty(0, dtype=object) for _ in range(width)], 0)
+        matrix = np.empty((count, width), dtype=object)
         for j in range(width):
             matrix[:, j] = [row[j] for row in rows]
         return cls(schema, [matrix[:, j] for j in range(width)], count)
@@ -153,24 +142,6 @@ class ColumnStore:
             return [() for _ in range(self.length)]
         return list(zip(*(self.array(name).tolist() for name in self.schema.names)))
 
-    def materialize(self) -> "ColumnStore":
-        """Force every column gather and parent-view propagation.
-
-        Restores the eager semantics derived stores had before gathering
-        became lazy; the sweep-batching benchmark uses it to reconstruct the
-        per-candidate cost of the old engine.
-        """
-        for name in self.schema.names:
-            self.array(name)
-        if self._source is not None:
-            parent, _ = self._source
-            for name in self.schema.names:
-                if name in parent._numeric:
-                    self.numeric(name)
-                if name in parent._codes:
-                    self.codes(name)
-        return self
-
     # -- derived views ---------------------------------------------------------
 
     def numeric(self, name: str):
@@ -186,8 +157,8 @@ class ColumnStore:
                 return view
         values = self.array(name).tolist()
         try:
-            view = _np.array(
-                [_np.nan if value is None else float(value) for value in values],
+            view = np.array(
+                [np.nan if value is None else float(value) for value in values],
                 dtype=float,
             )
         except (TypeError, ValueError):
@@ -212,7 +183,7 @@ class ColumnStore:
                 return result
         values = self.array(name).tolist()
         mapping: dict = {}
-        codes = _np.empty(self.length, dtype=_np.int64)
+        codes = np.empty(self.length, dtype=np.int64)
         try:
             for position, value in enumerate(values):
                 codes[position] = mapping.setdefault(value, len(mapping))
@@ -232,15 +203,15 @@ class ColumnStore:
         Taking from a deferred store composes the coordinates, so derivation
         chains stay one hop from the eager root.
         """
-        if not isinstance(indices, (slice, _np.ndarray)):
-            indices = _np.asarray(indices, dtype=_np.int64)
+        if not isinstance(indices, (slice, np.ndarray)):
+            indices = np.asarray(indices, dtype=np.int64)
         if isinstance(indices, slice):
             length = len(range(*indices.indices(self.length)))
         else:
             if indices.dtype == bool:
                 # Boolean masks select rows; the derived length is the number
                 # of True entries, not the mask size.
-                indices = _np.flatnonzero(indices)
+                indices = np.flatnonzero(indices)
             length = int(indices.shape[0])
         parent, coordinates = self, indices
         if self._source is not None:
@@ -284,7 +255,7 @@ class ColumnStore:
         ``schema`` is the extended schema; cached views of the existing
         columns carry over.
         """
-        column = _np.empty(self.length, dtype=object)
+        column = np.empty(self.length, dtype=object)
         for position, value in enumerate(values):
             column[position] = value
         arrays = [self.array(name) for name in self.schema.names]
@@ -296,7 +267,7 @@ class ColumnStore:
     def concatenated(self, other: "ColumnStore") -> "ColumnStore":
         """The rows of ``self`` followed by the rows of ``other`` (same schema)."""
         arrays = [
-            _np.concatenate([self.array(name), other.array(name)])
+            np.concatenate([self.array(name), other.array(name)])
             for name in self.schema.names
         ]
         return ColumnStore(self.schema, arrays, self.length + other.length)
@@ -305,7 +276,7 @@ class ColumnStore:
 
     def mask(self, conjunction: Conjunction):
         """Boolean selection mask for a conjunction; ``None`` -> caller fallback."""
-        mask = _np.ones(self.length, dtype=bool)
+        mask = np.ones(self.length, dtype=bool)
         for predicate in conjunction:
             if isinstance(predicate, NumericalPredicate):
                 part = self._numerical_mask(predicate)
@@ -319,7 +290,7 @@ class ColumnStore:
     def _numerical_mask(self, predicate: NumericalPredicate):
         if predicate.attribute not in self.schema:
             # Row semantics: a missing attribute reads as None, which fails.
-            return _np.zeros(self.length, dtype=bool)
+            return np.zeros(self.length, dtype=bool)
         values = self.numeric(predicate.attribute)
         if values is None:
             return None
@@ -339,17 +310,17 @@ class ColumnStore:
 
     def _categorical_mask(self, predicate: CategoricalPredicate):
         if predicate.attribute not in self.schema:
-            return _np.full(self.length, None in predicate.values, dtype=bool)
+            return np.full(self.length, None in predicate.values, dtype=bool)
         factorized = self.codes(predicate.attribute)
         if factorized is None:
             return None
         codes, mapping = factorized
         wanted = [mapping[value] for value in predicate.values if value in mapping]
         if not wanted:
-            return _np.zeros(self.length, dtype=bool)
+            return np.zeros(self.length, dtype=bool)
         if len(wanted) == 1:
             return codes == wanted[0]
-        return _np.isin(codes, _np.array(wanted, dtype=_np.int64))
+        return np.isin(codes, np.array(wanted, dtype=np.int64))
 
     def argsort_by(self, name: str, descending: bool):
         """Stable sort order by one column, NULLs last; ``None`` -> fallback.
@@ -362,7 +333,7 @@ class ColumnStore:
         if values is None:
             return None
         keys = -values if descending else values
-        return _np.argsort(keys, kind="stable")
+        return np.argsort(keys, kind="stable")
 
     def first_occurrence(self, names: Sequence[str]):
         """Positions of the first row for each distinct key, in row order.
@@ -376,17 +347,17 @@ class ColumnStore:
                 return None
             columns.append(factorized[0])
         if not columns:
-            return _np.arange(min(self.length, 1))
+            return np.arange(min(self.length, 1))
         if len(columns) == 1:
-            _, first = _np.unique(columns[0], return_index=True)
+            _, first = np.unique(columns[0], return_index=True)
         else:
-            stacked = _np.stack(columns, axis=1)
-            _, first = _np.unique(stacked, axis=0, return_index=True)
-        return _np.sort(first)
+            stacked = np.stack(columns, axis=1)
+            _, first = np.unique(stacked, axis=0, return_index=True)
+        return np.sort(first)
 
     def count_conditions(self, conditions: Mapping[str, object]):
         """Rows satisfying every ``attribute == value`` condition; ``None`` -> fallback."""
-        mask = _np.ones(self.length, dtype=bool)
+        mask = np.ones(self.length, dtype=bool)
         for attribute, value in conditions.items():
             factorized = self.codes(attribute)
             if factorized is None:
@@ -419,7 +390,7 @@ def combined_codes(store: ColumnStore, names: Sequence[str]):
     if len(parts) == 1:
         return parts[0]
     mapping: dict = {}
-    combined = _np.empty(store.length, dtype=_np.int64)
+    combined = np.empty(store.length, dtype=np.int64)
     for position, key in enumerate(zip(*(part.tolist() for part in parts))):
         combined[position] = mapping.setdefault(key, len(mapping))
     return combined
@@ -428,7 +399,6 @@ def combined_codes(store: ColumnStore, names: Sequence[str]):
 __all__ = [
     "ColumnStore",
     "combined_codes",
-    "numpy_available",
     "rowwise_fallback",
     "vectorization_enabled",
 ]

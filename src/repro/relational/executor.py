@@ -3,9 +3,9 @@
 Two execution backends sit behind :class:`QueryExecutor`:
 
 ``memory`` (default)
-    The in-memory engine — columnar/vectorized when NumPy is available,
-    row-at-a-time otherwise — with per-query-shape join and ordered-join
-    caches.
+    The in-memory engine — columnar/vectorized, row-at-a-time under
+    :func:`~repro.relational.columnar.rowwise_fallback` — with
+    per-query-shape join and ordered-join caches.
 
 ``sqlite``
     Selection, ordering and DISTINCT pushed down into sqlite
@@ -32,6 +32,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.analysis.debug_locks import guard_mapping, plain_copy
 from repro.exceptions import QueryError
 from repro.relational.columnar import ColumnStore
@@ -39,11 +41,6 @@ from repro.relational.database import Database
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-
-try:  # pragma: no cover - optional, gated via Relation.column_store()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Supported execution backends, in documentation order.
 EXECUTOR_BACKENDS = ("memory", "sqlite")
@@ -190,8 +187,7 @@ class QueryExecutor:
 
     On the ``sqlite`` backend the join, selection, ordering and DISTINCT all
     run inside sqlite over indexed base tables; the executor only gathers the
-    returned row coordinates into a (columnar, when NumPy is available)
-    result relation.
+    returned row coordinates into a result relation.
     """
 
     def __init__(
@@ -384,8 +380,8 @@ class QueryExecutor:
         stores = [relation.column_store() for relation in relations]
         if all(store is not None for store in stores):
             rid_arrays = [
-                _np.fromiter(
-                    (row[i] for row in coordinates), dtype=_np.int64, count=count
+                np.fromiter(
+                    (row[i] for row in coordinates), dtype=np.int64, count=count
                 )
                 for i in range(len(tables))
             ]

@@ -3,12 +3,12 @@
 Relations have a dual representation.  They can be constructed from row
 tuples (the original API, used by the dataset generators and tests) or from a
 :class:`~repro.relational.columnar.ColumnStore`; either side is materialised
-lazily from the other.  When NumPy is available every relational operator
-runs on the columnar representation — selection as boolean masks, ordering as
-a stable ``argsort``, joins as hash joins over key-column views with
-fancy-indexed gathers, derived-column/concat/callable operators over column
-iterators — and falls back to the original row-at-a-time implementation
-otherwise (or under :func:`repro.relational.columnar.rowwise_fallback`).
+lazily from the other.  Every relational operator runs on the columnar
+representation — selection as boolean masks, ordering as a stable
+``argsort``, joins as hash joins over key-column views with fancy-indexed
+gathers, derived-column/concat/callable operators over column iterators — and
+on the original row-at-a-time implementation under
+:func:`repro.relational.columnar.rowwise_fallback`.
 
 Dual-representation invariants:
 
@@ -27,16 +27,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import SchemaError
 from repro.relational import columnar
 from repro.relational.columnar import ColumnStore
 from repro.relational.predicates import Conjunction
 from repro.relational.schema import Attribute, AttributeKind, Schema
-
-try:  # pragma: no cover - optional, gated via columnar.vectorization_enabled()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 def _domain_sort_key(value: object) -> tuple:
@@ -203,7 +200,7 @@ class Relation:
                 mask = store.mask(condition)
                 if mask is not None:
                     return Relation.from_store(
-                        self.name, store.take(_np.flatnonzero(mask))
+                        self.name, store.take(np.flatnonzero(mask))
                     )
             predicate = condition.matches
         else:
@@ -219,7 +216,7 @@ class Relation:
                 if predicate(values)
             ]
             return Relation.from_store(
-                self.name, store.take(_np.asarray(kept, dtype=_np.int64))
+                self.name, store.take(np.asarray(kept, dtype=np.int64))
             )
         names = self.schema.names
         kept = [
@@ -295,8 +292,8 @@ class Relation:
         ]
         if not shared:
             # Cartesian product (TPC-H style star joins).
-            left_idx = _np.repeat(_np.arange(len(self)), len(other))
-            right_idx = _np.tile(_np.arange(len(other)), len(self))
+            left_idx = np.repeat(np.arange(len(self)), len(other))
+            right_idx = np.tile(np.arange(len(other)), len(self))
         else:
             right_keys = list(
                 zip(*(right_store.array(name).tolist() for name in shared))
@@ -313,8 +310,8 @@ class Relation:
                 for match in buckets.get(key, ()):
                     left_positions.append(position)
                     right_positions.append(match)
-            left_idx = _np.array(left_positions, dtype=_np.int64)
-            right_idx = _np.array(right_positions, dtype=_np.int64)
+            left_idx = np.array(left_positions, dtype=np.int64)
+            right_idx = np.array(right_positions, dtype=np.int64)
         arrays = [left_store.array(name)[left_idx] for name in self.schema.names]
         arrays.extend(right_store.array(name)[right_idx] for name in right_extra)
         store = ColumnStore(joined_schema, arrays, int(left_idx.shape[0]))

@@ -10,16 +10,21 @@ Three layers:
   three distance measures, the cut loop must attain the same model optimum as
   the eager lowering, without ever re-lowering the grown model from scratch
   (``full_lowerings == 1``);
-* solver wiring — the ``REPRO_MILP_LAZY`` gate and the cut statistics
-  surfaced through ``model_statistics``.
+* the pool-size floor — ``MIN_LAZY_POOL_ROWS``, monkeypatched to force
+  either side: under it the one build is exactly the eager model, over it the
+  seed plus the pools hold exactly the eager model's rows, and the cut
+  statistics surface through ``model_statistics``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import ConstraintSet, RefinementSolver, at_least
+from repro.core import ConstraintSet, RefinementSolver, at_least, lazy_generation
 from repro.core.deadline import Deadline
 from repro.core.lazy_generation import (
     DEFAULT_TOLERANCE,
@@ -27,7 +32,7 @@ from repro.core.lazy_generation import (
     RankCompletion,
     run_cut_loop,
 )
-from repro.core.solver import lazy_generation_default
+from repro.core.milp_builder import MILPBuilder, build_model
 from repro.datasets import load_dataset
 from repro.exceptions import ModelError
 from repro.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE, Model
@@ -258,14 +263,24 @@ DATASET_CONSTRAINTS = {
 }
 
 
+#: ``MIN_LAZY_POOL_ROWS`` values that force either side of the floor.
+FORCE_LOOP = 0
+FORCE_EAGER = 2**62
+
+
+def set_floor(monkeypatch, rows: int) -> None:
+    monkeypatch.setattr(lazy_generation, "MIN_LAZY_POOL_ROWS", rows)
+
+
 @pytest.mark.parametrize("dataset", sorted(DATASET_PARAMETERS))
 @pytest.mark.parametrize("method", ["milp", "milp+opt"])
 @pytest.mark.parametrize("distance", ["pred", "jaccard", "kendall"])
-def test_cut_loop_matches_eager_optimum(dataset, method, distance):
+def test_cut_loop_matches_eager_optimum(monkeypatch, dataset, method, distance):
     bundle = load_dataset(dataset, **DATASET_PARAMETERS[dataset])
     constraints = ConstraintSet(DATASET_CONSTRAINTS[dataset])
     results = {}
     for lazy in (False, True):
+        set_floor(monkeypatch, FORCE_LOOP if lazy else FORCE_EAGER)
         solver = RefinementSolver(
             bundle.database,
             bundle.query,
@@ -273,7 +288,6 @@ def test_cut_loop_matches_eager_optimum(dataset, method, distance):
             epsilon=0.5,
             distance=distance,
             method=method,
-            lazy_generation=lazy,
         )
         results[lazy] = solver.solve()
     eager, cut = results[False], results[True]
@@ -291,50 +305,143 @@ def test_cut_loop_matches_eager_optimum(dataset, method, distance):
         assert cut.model_statistics["rows_generated"] >= 0
 
 
-# -- solver wiring --------------------------------------------------------------------
+# -- the pool-size floor --------------------------------------------------------------
 
 
-class TestSolverWiring:
-    def test_env_gate_default_and_off_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MILP_LAZY", raising=False)
-        assert lazy_generation_default() is True
-        for off in ("0", "false", "off", "no", ""):
-            monkeypatch.setenv("REPRO_MILP_LAZY", off)
-            assert lazy_generation_default() is False
-        monkeypatch.setenv("REPRO_MILP_LAZY", "1")
-        assert lazy_generation_default() is True
+def solver_for(dataset: str, method: str, distance: str) -> RefinementSolver:
+    bundle = load_dataset(dataset, **DATASET_PARAMETERS[dataset])
+    return RefinementSolver(
+        bundle.database,
+        bundle.query,
+        ConstraintSet(DATASET_CONSTRAINTS[dataset]),
+        epsilon=0.5,
+        distance=distance,
+        method=method,
+    )
 
-    def test_env_gate_controls_solver(self, monkeypatch, students_db, scholarship, scholarship_constraints):
-        monkeypatch.setenv("REPRO_MILP_LAZY", "0")
+
+def eager_artifacts(solver: RefinementSolver, prepared):
+    """The full model of a prepared problem, built without the cut loop."""
+    return build_model(
+        solver.query,
+        prepared.artifacts.context.annotated,
+        solver.constraints,
+        solver.epsilon,
+        solver.distance,
+        prepared.original_result,
+        replace(solver.options, lazy_generation=False),
+    )
+
+
+def row_multisets(form) -> tuple[Counter, Counter]:
+    """The <= and == rows of a standard form as multisets of sparse rows."""
+    multisets = []
+    for matrix, rhs in ((form.a_ub, form.b_ub), (form.a_eq, form.b_eq)):
+        matrix = matrix.tocsr()
+        matrix.eliminate_zeros()
+        rows = Counter()
+        for index in range(matrix.shape[0]):
+            start, stop = matrix.indptr[index], matrix.indptr[index + 1]
+            entries = sorted(
+                zip(matrix.indices[start:stop].tolist(), matrix.data[start:stop].tolist())
+            )
+            rows[(tuple(entries), float(rhs[index]))] += 1
+        multisets.append(rows)
+    return multisets[0], multisets[1]
+
+
+def assert_same_standard_form(first, second):
+    """Identical variables, costs, bounds, rows and row order."""
+    assert [v.name for v in first.variables] == [v.name for v in second.variables]
+    for attribute in ("c", "b_ub", "b_eq", "lower", "upper", "integrality"):
+        assert np.array_equal(getattr(first, attribute), getattr(second, attribute)), attribute
+    for attribute in ("a_ub", "a_eq"):
+        left, right = getattr(first, attribute), getattr(second, attribute)
+        assert left.shape == right.shape, attribute
+        assert (left != right).nnz == 0, attribute
+
+
+def test_solver_always_promises_the_cut_loop(students_db, scholarship, scholarship_constraints):
+    for method in ("milp", "milp+opt"):
         solver = RefinementSolver(
-            students_db, scholarship, scholarship_constraints, epsilon=0.0
+            students_db, scholarship, scholarship_constraints, method=method
         )
-        assert solver.lazy_generation is False
-        assert solver.options.lazy_generation is False
-        monkeypatch.setenv("REPRO_MILP_LAZY", "1")
-        solver = RefinementSolver(
-            students_db, scholarship, scholarship_constraints, epsilon=0.0
-        )
-        assert solver.lazy_generation is True
         assert solver.options.lazy_generation is True
 
-    def test_cut_statistics_surface_in_result(self):
-        bundle = load_dataset("law_students", num_rows=200)
-        constraints = ConstraintSet(DATASET_CONSTRAINTS["law_students"])
-        solver = RefinementSolver(
-            bundle.database,
-            bundle.query,
-            constraints,
-            epsilon=0.5,
-            distance="kendall",
-            method="milp+opt",
-            lazy_generation=True,
-        )
-        result = solver.solve()
-        assert result.feasible
-        statistics = result.model_statistics
-        assert statistics["full_lowerings"] == 1
-        assert statistics["seed_rows"] > 0
-        assert statistics["lazy_pool_rows"] > 0
-        assert statistics["cut_rounds"] >= 0
-        assert statistics["rows_generated"] >= 0
+
+@pytest.mark.parametrize("dataset", ["students", "meps", "tpch"])
+@pytest.mark.parametrize("method", ["milp", "milp+opt"])
+@pytest.mark.parametrize("distance", ["pred", "jaccard", "kendall"])
+def test_under_the_floor_prepare_builds_the_eager_model_once(
+    monkeypatch, dataset, method, distance
+):
+    set_floor(monkeypatch, FORCE_EAGER)
+    builds = []
+    original_build = MILPBuilder.build
+
+    def counting_build(builder):
+        builds.append(builder)
+        return original_build(builder)
+
+    monkeypatch.setattr(MILPBuilder, "build", counting_build)
+    solver = solver_for(dataset, method, distance)
+    prepared = solver.prepare()
+    assert len(builds) == 1
+    assert prepared.artifacts.lazy_pools == []
+    assert prepared.artifacts.complete_candidate is None
+    assert "seed_rows" not in prepared.artifacts.statistics
+    assert_same_standard_form(
+        prepared.artifacts.model.to_standard_form(),
+        eager_artifacts(solver, prepared).model.to_standard_form(),
+    )
+
+
+@pytest.mark.parametrize(
+    "dataset,method,distance,floor",
+    [
+        # Naturally over the default floor: every tuple needs a rank.
+        ("law_students", "milp+opt", "kendall", None),
+        ("students", "milp", "pred", FORCE_LOOP),
+        ("meps", "milp+opt", "jaccard", FORCE_LOOP),
+        ("tpch", "milp", "kendall", FORCE_LOOP),
+        ("astronauts", "milp+opt", "pred", FORCE_LOOP),
+    ],
+)
+def test_over_the_floor_seed_and_pools_hold_the_eager_rows(
+    monkeypatch, dataset, method, distance, floor
+):
+    if floor is not None:
+        set_floor(monkeypatch, floor)
+    solver = solver_for(dataset, method, distance)
+    prepared = solver.prepare()
+    artifacts = prepared.artifacts
+    eager = eager_artifacts(solver, prepared).model
+    if floor is None:
+        assert artifacts.lazy_pools
+    model = artifacts.model
+    pending = sum(pool.num_pending for pool in artifacts.lazy_pools)
+    assert artifacts.statistics["seed_rows"] == model.num_constraints
+    assert model.num_constraints + pending == eager.num_constraints
+    # Hand every pending row to the model: the grown model then holds the
+    # eager model's rows exactly, in some order.
+    for pool in artifacts.lazy_pools:
+        block = pool.take(np.unique(pool.group_keys))
+        if block is not None:
+            model.add_constraint_block(*block)
+    grown, full = model.to_standard_form(), eager.to_standard_form()
+    assert [v.name for v in grown.variables] == [v.name for v in full.variables]
+    assert np.array_equal(grown.c, full.c)
+    assert row_multisets(grown) == row_multisets(full)
+
+
+def test_cut_statistics_surface_in_result(monkeypatch):
+    set_floor(monkeypatch, FORCE_LOOP)
+    solver = solver_for("law_students", "milp+opt", "kendall")
+    result = solver.solve()
+    assert result.feasible
+    statistics = result.model_statistics
+    assert statistics["full_lowerings"] == 1
+    assert statistics["seed_rows"] > 0
+    assert statistics["lazy_pool_rows"] > 0
+    assert statistics["cut_rounds"] >= 0
+    assert statistics["rows_generated"] >= 0

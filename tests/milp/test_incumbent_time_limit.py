@@ -17,7 +17,6 @@ import pytest
 import repro.milp.solvers.branch_and_bound as bnb
 from repro.milp import Model, SolveStatus
 from repro.milp.solvers import BranchAndBoundSolver, ScipySolver
-from repro.milp.solvers.scipy_backend import scipy_milp_available
 
 
 def knapsack():
@@ -97,7 +96,6 @@ def test_infeasible_warm_start_is_discarded_not_trusted():
     assert solution.objective_value == pytest.approx(56.0)
 
 
-@pytest.mark.skipif(not scipy_milp_available(), reason="scipy.optimize.milp missing")
 def test_scipy_objective_target_stop_recovers_the_incumbent(monkeypatch):
     """The target stop (HiGHS status 12) must not surface as an empty ERROR.
 

@@ -1,11 +1,11 @@
-"""Golden tests for the two lowering paths and the two solver backends.
+"""Golden tests for the two constraint front doors and the two solver backends.
 
-The MILP builder and the Erica baseline can emit their constraint families
-either as COO row blocks (``add_constraint_block``) or as one
-``LinearConstraint`` per row.  Both must lower to identical
-``(c, A_ub, b_ub, A_eq, b_eq, bounds, integrality)`` matrices on every
-registered dataset — and the scipy (HiGHS) and branch-and-bound backends must
-agree on the optimal objective of every dataset's MILP+OPT model.
+Constraint rows enter a :class:`~repro.milp.Model` either as COO row blocks
+(``add_constraint_block``) or as one ``LinearConstraint`` per row
+(``add_constraint``).  Both must lower to identical
+``(c, A_ub, b_ub, A_eq, b_eq, bounds, integrality)`` matrices — and the scipy
+(HiGHS) and branch-and-bound backends must agree on the optimal objective of
+every registered dataset's MILP+OPT model.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from repro.core import ConstraintSet, EricaBaseline, at_least, get_distance
 from repro.core.milp_builder import build_model
 from repro.core.optimizations import BuilderOptions
 from repro.datasets import load_dataset
+from repro.milp import Model, linear_sum
+from repro.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE
 from repro.provenance import annotate
 from repro.relational import QueryExecutor
 
@@ -54,24 +56,16 @@ def instance(request):
     }
 
 
-def build_form(instance, distance="pred", block_lowering=True, optimized=True):
-    base = BuilderOptions.all() if optimized else BuilderOptions.none()
-    options = BuilderOptions(
-        relevancy_pruning=base.relevancy_pruning,
-        merge_lineage_variables=base.merge_lineage_variables,
-        relax_rank_expressions=base.relax_rank_expressions,
-        block_lowering=block_lowering,
-    )
-    artifacts = build_model(
+def build_form(instance, distance="pred", optimized=True):
+    return build_model(
         instance["bundle"].query,
         instance["annotated"],
         instance["constraints"],
         0.5,
         get_distance(distance),
         instance["original"],
-        options,
+        BuilderOptions.all() if optimized else BuilderOptions.none(),
     )
-    return artifacts
 
 
 def assert_forms_identical(first, second):
@@ -90,61 +84,68 @@ def assert_forms_identical(first, second):
         assert (left - right).count_nonzero() == 0, attribute
 
 
-class TestLoweringPathsAreMatrixIdentical:
-    @pytest.mark.parametrize("optimized", [True, False], ids=["milp+opt", "milp"])
-    def test_builder_block_vs_legacy(self, instance, optimized):
-        block = build_form(instance, block_lowering=True, optimized=optimized)
-        legacy = build_form(instance, block_lowering=False, optimized=optimized)
-        assert block.model.num_constraints == legacy.model.num_constraints
-        assert_forms_identical(
-            block.model.to_standard_form(), legacy.model.to_standard_form()
-        )
+def random_block(rng, num_variables, num_rows):
+    """A random COO block with duplicate (row, col) entries, zero
+    coefficients and all three senses.
 
-    def test_builder_block_vs_legacy_outcome_distance(self, instance):
-        block = build_form(instance, distance="jaccard", block_lowering=True)
-        legacy = build_form(instance, distance="jaccard", block_lowering=False)
-        assert_forms_identical(
-            block.model.to_standard_form(), legacy.model.to_standard_form()
-        )
+    Every row carries one large entry, so no row degenerates into a
+    variable-free constraint (which ``LinearConstraint`` rejects)."""
+    nnz = 4 * num_rows
+    anchors = np.arange(num_rows)
+    rows = np.concatenate([anchors, rng.integers(0, num_rows, size=nnz)])
+    cols = np.concatenate(
+        [anchors % num_variables, rng.integers(0, num_variables, size=nnz)]
+    )
+    coeffs = np.concatenate(
+        [np.full(num_rows, 10.0), rng.choice([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0], size=nnz)]
+    )
+    # Repeat a slice of the random entries so some (row, col) pairs sum.
+    repeated = slice(num_rows, num_rows + nnz // 4)
+    rows = np.concatenate([rows, rows[repeated]])
+    cols = np.concatenate([cols, cols[repeated]])
+    coeffs = np.concatenate([coeffs, coeffs[repeated]])
+    senses = rng.choice([SENSE_LE, SENSE_GE, SENSE_EQ], size=num_rows).astype(np.int8)
+    rhs = rng.integers(-5, 6, size=num_rows).astype(np.float64)
+    return rows, cols, coeffs, senses, rhs
 
-    def test_erica_block_vs_legacy(self, instance):
-        if instance["bundle"].query.distinct:
-            pytest.skip("Erica aggregation targets non-DISTINCT queries")
-        forms = []
-        for block_lowering in (True, False):
-            baseline = EricaBaseline(
-                instance["bundle"].database,
-                instance["bundle"].query,
-                instance["constraints"],
-                output_size=10,
-                block_lowering=block_lowering,
-            )
-            annotated = annotate(
-                instance["bundle"].query, instance["bundle"].database,
-                executor=baseline._executor,
-            )
-            model = baseline._build(annotated)[0]
-            forms.append(model.to_standard_form())
-        assert_forms_identical(*forms)
 
-    def test_erica_per_tuple_block_vs_legacy(self, instance):
-        forms = []
-        for block_lowering in (True, False):
-            baseline = EricaBaseline(
-                instance["bundle"].database,
-                instance["bundle"].query,
-                instance["constraints"],
-                output_size=10,
-                aggregate_lineage=False,
-                block_lowering=block_lowering,
+def model_with_variables(num_variables):
+    model = Model("lowering")
+    for index in range(num_variables):
+        if index % 3 == 0:
+            model.continuous_var(f"y{index}", lower=-1.0, upper=4.0)
+        else:
+            model.binary_var(f"x{index}")
+    model.minimize(linear_sum(model.variables))
+    return model
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_and_per_row_lowerings_are_matrix_identical(seed):
+    rng = np.random.default_rng(seed)
+    num_variables = 12
+    blocks = [random_block(rng, num_variables, num_rows) for num_rows in (1, 7, 20)]
+
+    by_block = model_with_variables(num_variables)
+    by_row = model_with_variables(num_variables)
+    variables = by_row.variables
+    for rows, cols, coeffs, senses, rhs in blocks:
+        by_block.add_constraint_block(rows, cols, coeffs, senses, rhs)
+        for row in range(rhs.shape[0]):
+            entries = rows == row
+            expression = linear_sum(
+                float(coeff) * variables[col]
+                for col, coeff in zip(cols[entries], coeffs[entries])
             )
-            annotated = annotate(
-                instance["bundle"].query, instance["bundle"].database,
-                executor=baseline._executor,
-            )
-            model = baseline._build(annotated)[0]
-            forms.append(model.to_standard_form())
-        assert_forms_identical(*forms)
+            if senses[row] == SENSE_LE:
+                by_row.add_constraint(expression <= rhs[row])
+            elif senses[row] == SENSE_GE:
+                by_row.add_constraint(expression >= rhs[row])
+            else:
+                by_row.add_constraint(expression == rhs[row])
+
+    assert by_block.num_constraints == by_row.num_constraints
+    assert_forms_identical(by_block.to_standard_form(), by_row.to_standard_form())
 
 
 class TestBackendObjectiveParity:

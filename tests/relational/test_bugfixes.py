@@ -22,7 +22,7 @@ from repro.relational import (
     Schema,
     SPJQuery,
 )
-from repro.relational.columnar import numpy_available, rowwise_fallback
+from repro.relational.columnar import rowwise_fallback
 from repro.relational.schema import categorical, numerical
 
 
@@ -163,7 +163,6 @@ class TestNullOrdering:
 
 
 class TestOrderingParityAndSelectIdentity:
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy for parity")
     def test_float_parseable_strings_sort_lexicographically_on_both_engines(self):
         schema = Schema([categorical("id")])
         rows = [("1",), ("10",), ("2",)]
@@ -175,7 +174,6 @@ class TestOrderingParityAndSelectIdentity:
     def test_empty_conjunction_select_returns_the_relation_itself(self, nullable_scores):
         assert nullable_scores.select(Conjunction()) is nullable_scores
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy for parity")
     def test_zero_column_projection_preserves_row_count(self, nullable_scores):
         fast = nullable_scores.project([]).head(2)
         with rowwise_fallback():
@@ -246,7 +244,6 @@ class TestMixedNumericDomain:
         relation = Relation("r", schema, [("b",), ("a",), ("b",)])
         assert relation.domain("x") == ["a", "b"]
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy for parity")
     def test_domain_is_engine_independent(self):
         schema = Schema([numerical("x")])
         rows = [(3,), (1.25,), (2,), (1,), (2.5,)]

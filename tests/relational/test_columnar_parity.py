@@ -14,11 +14,7 @@ import pytest
 from repro.core import ConstraintSet, NaiveProvenanceSearch, at_least
 from repro.datasets.registry import DATASET_BUILDERS, load_dataset
 from repro.relational import QueryExecutor, SPJQuery
-from repro.relational.columnar import (
-    numpy_available,
-    rowwise_fallback,
-    vectorization_enabled,
-)
+from repro.relational.columnar import rowwise_fallback, vectorization_enabled
 
 #: Reduced sizes so the whole registry can be evaluated twice per test run.
 _SMALL_PARAMETERS = {
@@ -28,11 +24,6 @@ _SMALL_PARAMETERS = {
     "meps": {"num_rows": 400},
     "tpch": {"scale_factor": 0.05},
 }
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized engine requires numpy"
-)
-
 
 def _bundle(name):
     return load_dataset(name, **_SMALL_PARAMETERS[name])
@@ -50,7 +41,6 @@ def _identical(fast, slow):
     assert fast.scores() == slow.scores()
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_vectorized_executor_matches_rowwise(name):
     bundle = _bundle(name)
@@ -62,7 +52,6 @@ def test_vectorized_executor_matches_rowwise(name):
     _identical(fast, slow)
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_vectorized_unfiltered_evaluation_matches_rowwise(name):
     bundle = _bundle(name)
@@ -123,7 +112,6 @@ def test_sqlite_backend_matches_memory_engines_on_distinct_ranking(name):
     _identical(sqlite, sqlite_rowwise)
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_candidate_mask_evaluation_matches_rowwise(name):
     """The Naive+prov fast path and the row-based reference select the same
@@ -166,20 +154,20 @@ def _any_group(bundle):
     raise AssertionError("dataset has no categorical attribute to group on")
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_batched_sweep_matches_per_candidate_positions(name):
-    """The batched-sweep threshold tables select exactly the per-candidate sets."""
+def test_sweep_positions_match_rowwise_evaluation(name):
+    """The sweep's threshold tables and subset chains select exactly the rows
+    the row-at-a-time evaluation selects, candidate after candidate."""
     from repro.core.refinement import RefinementSpace
     from repro.provenance.lineage import annotate
 
     bundle = _bundle(name)
     constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
-    batched = NaiveProvenanceSearch(
+    search = NaiveProvenanceSearch(
         bundle.database, bundle.query, constraints, max_candidates=0
     )
-    batched.search()
-    assert batched._fast is not None
+    search.search()
+    assert search._fast is not None
 
     annotated = annotate(bundle.query, bundle.database)
     space = RefinementSpace(bundle.query, annotated)
@@ -187,34 +175,9 @@ def test_batched_sweep_matches_per_candidate_positions(name):
         if count >= 40:
             break
         refined_query = refinement.apply(bundle.query)
-        fast = batched._fast.selected_positions(refined_query, batched=True)
-        slow = batched._fast.selected_positions(refined_query, batched=False)
-        assert fast.tolist() == slow.tolist()
-
-
-@needs_numpy
-def test_batched_and_per_candidate_search_agree():
-    bundle = _bundle("students")
-    constraints = ConstraintSet(
-        [at_least(3, 6, Gender="F"), at_least(1, 3, Income="High")]
-    )
-
-    def run(batched):
-        return NaiveProvenanceSearch(
-            bundle.database,
-            bundle.query,
-            constraints,
-            max_candidates=400,
-            batched_sweeps=batched,
-        ).search()
-
-    fast = run(True)
-    slow = run(False)
-    assert fast.feasible == slow.feasible
-    assert fast.candidates_examined == slow.candidates_examined
-    assert fast.refinement == slow.refinement
-    assert fast.distance_value == slow.distance_value
-    assert fast.deviation == slow.deviation
+        fast = search._fast.selected_positions(refined_query)
+        slow = search._evaluate_rowwise(refinement, refined_query)
+        assert search._base.take(fast).rows == slow.relation.rows
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
@@ -242,7 +205,6 @@ def test_jobs_axis_parity(name):
     assert sharded.exhausted == serial.exhausted
 
 
-@needs_numpy
 def test_full_naive_prov_search_matches_rowwise_result():
     """End-to-end: the fast search picks the same refinement as the row path."""
     bundle = _bundle("students")
