@@ -51,14 +51,8 @@ LOCK_GUARDS: dict[str, GuardSpec] = {
     ),
     "RaceControl": GuardSpec(
         lock="_lock",
-        attributes=(
-            "_best_upper",
-            "_proven_lower",
-            "_timeline",
-            "_cancelled",
-            "_cancel_all",
-        ),
-        note="shared race state (bounds, timeline, cancellation flags) "
+        attributes=("_proven_lower", "_timeline", "_cancel_all"),
+        note="shared race state (proven bound, timeline, cancellation flag) "
         "published by engine threads while the selection loop reads",
     ),
     "RequestCoalescer": GuardSpec(
@@ -105,6 +99,11 @@ FORK_PICKLE_EXEMPT: dict[str, str] = {
     "RaceControl": (
         "race-scoped shared state on threads of one PortfolioSolver.solve; "
         "pool workers receive plain timeouts/budgets, never the control"
+    ),
+    "PreparedProblem": (
+        "held by a DatasetSession's prepared-MILP cache or one race's MILP "
+        "engine thread; MILPs are solved in-process, and pool workers "
+        "receive exhaustive searches, never a prepared problem"
     ),
     "_AtomInterner": (
         "process-wide singleton with explicit os.register_at_fork hooks "

@@ -40,8 +40,6 @@ from repro.core.portfolio import (
     EngineSpec,
     PortfolioResult,
     PortfolioSolver,
-    RaceAllPolicy,
-    StaggeredPolicy,
 )
 from repro.core.problem import RefinementProblem
 from repro.core.refinement import Refinement, RefinementSpace
@@ -72,13 +70,11 @@ __all__ = [
     "PortfolioSolver",
     "PredicateDistance",
     "PreparedProblem",
-    "RaceAllPolicy",
     "Refinement",
     "RefinementProblem",
     "RefinementResult",
     "RefinementSolver",
     "RefinementSpace",
-    "StaggeredPolicy",
     "at_least",
     "at_most",
     "compare_distances",

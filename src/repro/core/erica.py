@@ -163,9 +163,9 @@ class EricaBaseline:
                 options["time_limit"] = remaining / (num_solutions - round_index)
             if previous_objective is not None:
                 # Adding a no-good cut can only increase the optimum, so the
-                # previous objective is a proven lower bound (used by the
-                # branch-and-bound backend for early termination; the scipy
-                # backend ignores it).
+                # previous objective is a proven lower bound.  Only the
+                # branch-and-bound backend uses it (to stop early); the scipy
+                # backend accepts and ignores it.
                 options["known_lower_bound"] = previous_objective
             solution = model.solve(self.backend, **options)
             solve_seconds += solution.solve_seconds

@@ -259,7 +259,6 @@ def run_cut_loop(
     *,
     time_limit: float | None = None,
     deadline: Deadline | None = None,
-    external_bound: float | None = None,
     completion: Callable[[np.ndarray], np.ndarray] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     escalation_rounds: int = DEFAULT_ESCALATION_ROUNDS,
@@ -267,12 +266,12 @@ def run_cut_loop(
     """Drive the cutting-plane loop until proven optimal or out of budget.
 
     ``solve(limit, guidance)`` runs one backend solve under ``limit`` seconds;
-    ``guidance`` carries ``known_lower_bound`` (a proven lower bound on the
-    full optimum — HiGHS maps it to ``objective_target``, branch-and-bound
-    stops when its incumbent matches it) and, from the second round on,
-    ``warm_start_values`` (the previous incumbent; branch-and-bound
-    re-verifies it against the grown model and discards it if the new rows
-    exclude it).
+    from the second round on, ``guidance`` carries ``known_lower_bound`` (a
+    proven lower bound on the full optimum) and ``warm_start_values`` (the
+    previous incumbent).  Both are hints for branch-and-bound, which stops
+    when its incumbent matches the bound and re-verifies the warm start
+    against the grown model (discarding it if the new rows exclude it); the
+    scipy backend ignores them.
 
     ``completion`` (see :class:`RankCompletion`) maps a candidate to an
     objective-equivalent witness before separation — substituting determined
@@ -280,12 +279,9 @@ def run_cut_loop(
     genuine inconsistency instead of the arbitrary values a backend parks
     unconstrained variables at.
 
-    ``external_bound`` seeds the bound from outside knowledge (e.g. a
-    portfolio race's proven bound); any bound that provably underestimates the
-    full optimum is sound here, because acceptance is always backed by
-    full-model feasibility.  The loop's own bound only advances on rounds that
-    are proven (relaxation-optimal, or an incumbent matching the current
-    bound) — a plain time-limited incumbent never becomes a bound.
+    The loop's bound only advances on rounds that are proven
+    (relaxation-optimal, or an incumbent matching the current bound) — a
+    plain time-limited incumbent never becomes a bound.
 
     After ``escalation_rounds`` incremental rounds the loop adds *every*
     pending row instead of only the violated groups (see
@@ -313,7 +309,7 @@ def run_cut_loop(
         )
 
     variables = model.variables
-    bound = external_bound
+    bound: float | None = None
     incumbent: Solution | None = None
     rounds = 0
     generated = 0

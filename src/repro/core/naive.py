@@ -48,9 +48,6 @@ class NaiveResult:
     timed_out: bool = False
     #: The search was stopped by its ``should_stop`` hook (portfolio racing).
     cancelled: bool = False
-    #: The incumbent matched the ``cutoff`` lower bound — proven optimal
-    #: without exhausting the space.
-    cutoff_reached: bool = False
     setup_seconds: float = 0.0
     search_seconds: float = 0.0
     total_seconds: float = 0.0
@@ -82,7 +79,6 @@ class _BaseExhaustiveSearch:
         annotated: AnnotatedDatabase | None = None,
         should_stop: Callable[[], bool] | None = None,
         on_incumbent: Callable[[float, Refinement, float], None] | None = None,
-        cutoff: float | Callable[[], float | None] | None = None,
     ) -> None:
         self.database = database
         self.query = query
@@ -92,15 +88,12 @@ class _BaseExhaustiveSearch:
         self.timeout = timeout
         self.max_candidates = max_candidates
         self.jobs = parallel.resolve_jobs(jobs)
-        # Portfolio-racing hooks (all optional; the defaults leave behaviour
+        # Portfolio-racing hooks (both optional; the defaults leave behaviour
         # byte-identical to the plain search).  ``should_stop`` is polled
         # between candidates for cooperative cancellation; ``on_incumbent``
-        # streams each strict improvement out; ``cutoff`` is a proven lower
-        # bound (value or live callable) — an incumbent matching it is
-        # optimal, so the search stops with ``cutoff_reached``.
+        # streams each strict improvement out.
         self._should_stop = should_stop
         self._on_incumbent = on_incumbent
-        self._cutoff = cutoff
         # A warm dataset session shares its executor (cached join/sort, warm
         # sqlite store) and pre-annotated ~Q(D) across searches; one-shot
         # callers keep the build-it-here behaviour.
@@ -148,7 +141,6 @@ class _BaseExhaustiveSearch:
             exhausted=summary.exhausted,
             timed_out=summary.timed_out,
             cancelled=summary.cancelled,
-            cutoff_reached=summary.cutoff_reached,
             pool_restarts=summary.pool_restarts,
             degraded_to_serial=summary.degraded_to_serial,
             setup_seconds=setup_seconds,
@@ -171,7 +163,6 @@ class _BaseExhaustiveSearch:
         exhausted = True
         timed_out = False
         cancelled = False
-        cutoff_reached = False
         search_started = time.perf_counter()
         for refinement in self._space.enumerate():
             if self._should_stop is not None and self._should_stop():
@@ -193,28 +184,13 @@ class _BaseExhaustiveSearch:
                 best = candidate
                 if self._on_incumbent is not None:
                     self._on_incumbent(best[0], best[1], best[2])
-                cutoff = self.cutoff_value()
-                if cutoff is not None and best[0] <= cutoff + 1e-9:
-                    exhausted = False
-                    cutoff_reached = True
-                    break
         return parallel.SweepSummary(
             best=best,
             examined=examined,
             exhausted=exhausted,
             timed_out=timed_out,
             cancelled=cancelled,
-            cutoff_reached=cutoff_reached,
         )
-
-    def cutoff_value(self) -> float | None:
-        """The current proven lower bound (resolving a live callable)."""
-        if self._cutoff is None:
-            return None
-        if callable(self._cutoff):
-            value = self._cutoff()
-            return None if value is None else float(value)
-        return float(self._cutoff)
 
     def __getstate__(self) -> dict:
         # The racing hooks close over thread-local race state (locks, result
@@ -223,7 +199,6 @@ class _BaseExhaustiveSearch:
         state = self.__dict__.copy()
         state["_should_stop"] = None
         state["_on_incumbent"] = None
-        state["_cutoff"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -221,8 +221,6 @@ class SweepSummary:
     timed_out: bool
     #: Stopped by the search's cooperative ``should_stop`` hook.
     cancelled: bool = False
-    #: The incumbent matched the proven ``cutoff`` lower bound.
-    cutoff_reached: bool = False
     #: Fresh pools spun up after worker crashes (0 = no crash seen).
     pool_restarts: int = 0
     #: The restart budget ran out and the tail of the sweep ran in-process.
@@ -304,7 +302,6 @@ def run_sharded_search(
     # bounded by the shard deadline; the hooks never cross the fork).
     should_stop = getattr(search, "_should_stop", None)
     on_incumbent = getattr(search, "_on_incumbent", None)
-    cutoff_value = getattr(search, "cutoff_value", None)
 
     max_restarts = resolve_max_restarts()
     window = jobs * _WINDOW_PER_JOB
@@ -318,13 +315,12 @@ def run_sharded_search(
     stream_dry = False
     stopped_on_deadline = False
     cancelled = False
-    cutoff_reached = False
     degraded_to_serial = False
     pool_restarts = 0
 
     def record(outcome: ShardOutcome) -> None:
         """File one shard's outcome (exactly once) and feed the racing hooks."""
-        nonlocal stream_best, cutoff_reached
+        nonlocal stream_best
         outcomes[outcome.index] = outcome
         if outcome.best is not None and (
             stream_best is None
@@ -333,9 +329,6 @@ def run_sharded_search(
             stream_best = outcome.best
             if on_incumbent is not None:
                 on_incumbent(stream_best[0], stream_best[1], stream_best[2])
-            cutoff = cutoff_value() if cutoff_value is not None else None
-            if cutoff is not None and stream_best[0] <= cutoff + 1e-9:
-                cutoff_reached = True
 
     def draw() -> ShardTask | None:
         """Next shard to run: crash retries first, then the lazy stream."""
@@ -350,7 +343,7 @@ def run_sharded_search(
     _WORKER_SEARCH = search
     executor: concurrent.futures.ProcessPoolExecutor | None = None
     try:
-        while not (cancelled or cutoff_reached or degraded_to_serial):
+        while not (cancelled or degraded_to_serial):
             if executor is None:
                 executor = concurrent.futures.ProcessPoolExecutor(
                     max_workers=jobs,
@@ -364,7 +357,6 @@ def run_sharded_search(
                 while (
                     (retry or not stream_dry)
                     and not stopped_on_deadline
-                    and not cutoff_reached
                     and not cancelled
                     and not broken
                     and len(pending) < window
@@ -384,7 +376,7 @@ def run_sharded_search(
                         # Pool died between completions; the task never ran.
                         retry.appendleft(task)
                         broken = True
-                if cancelled or cutoff_reached:
+                if cancelled:
                     break
                 if not pending:
                     break
@@ -423,7 +415,7 @@ def run_sharded_search(
                 continue
             break
 
-        if degraded_to_serial and not (cancelled or cutoff_reached):
+        if degraded_to_serial and not cancelled:
             # Restart budget exhausted: finish the sweep in-process.  Slower,
             # but the outcome set (and therefore the merge) is identical.
             while True:
@@ -437,10 +429,8 @@ def run_sharded_search(
                 if task is None:
                     break
                 record(search.evaluate_shard(task))
-                if cutoff_reached:
-                    break
     finally:
-        _stop_executor(executor, kill=cancelled or cutoff_reached or degraded_to_serial)
+        _stop_executor(executor, kill=cancelled or degraded_to_serial)
         _WORKER_SEARCH = None
 
     # Deterministic merge: index order + the serial strict-improvement rule,
@@ -462,7 +452,7 @@ def run_sharded_search(
     if state["truncated"]:
         # The candidate budget ran out with further candidates left.
         exhausted = False
-    if cancelled or cutoff_reached:
+    if cancelled:
         # In-flight/unvisited shards were abandoned on purpose.
         exhausted = False
     if stopped_on_deadline and (retry or next(tasks, None) is not None):
@@ -475,7 +465,6 @@ def run_sharded_search(
         exhausted=exhausted,
         timed_out=timed_out,
         cancelled=cancelled,
-        cutoff_reached=cutoff_reached,
         pool_restarts=pool_restarts,
         degraded_to_serial=degraded_to_serial,
     )

@@ -4,30 +4,29 @@ The engines this repository grew — warm-started MILP (``milp``/``milp+opt``),
 the sharded exhaustive baselines (``naive``/``naive+prov``) — have wildly
 dataset-dependent runtimes, so no single engine can promise a latency SLA.
 :class:`PortfolioSolver` converts "fast as the hardware allows" into an SLA
-knob: it races several engines on threads (each engine may fan its own work
-out over the existing multiprocessing sweep pool via ``jobs``), streams
-incumbents back through one result queue, shares proven bounds across engines,
-and returns the best *verified* incumbent when the budget expires.
+knob: it starts every engine at race start on its own thread (each engine may
+fan its own work out over the existing multiprocessing sweep pool via
+``jobs``), streams incumbents back through one result queue, ends the race on
+the first proof, and returns the best *verified* incumbent when the budget
+expires.
 
 The harness follows the generator/verifier/selector shape of the
 generate-verify-refine loop: engines *generate* incumbents, the portfolio
 *verifies* each candidate winner against the database (re-evaluating the
 refined query — a buggy or adversarial engine cannot smuggle an infeasible
 answer through), and the *selector* picks the best verified incumbent with a
-deterministic tie-break (plan order).
+deterministic tie-break (spec order).
 
-Bound-sharing protocol
-----------------------
+A proof ends the race
+---------------------
 * An engine that **proves** its answer (MILP ``OPTIMAL``/``INFEASIBLE``, an
-  exhausted enumeration) publishes a proven lower bound on the optimal
-  distance; the race ends — no other engine can improve on a proof.
-* Exhaustive engines consult that proven bound *live* (the ``cutoff`` hook is
-  re-read every candidate) and stop as soon as their incumbent matches it.
-* MILP engines receive the bound at launch as ``known_lower_bound`` (the
-  branch-and-bound backend terminates the moment its incumbent matches it;
-  SciPy/HiGHS maps it to the ``objective_target`` option and stops just the
-  same, reporting the incumbent with a time-limit status).
-  Staggered starts therefore inherit everything earlier engines proved.
+  exhausted enumeration) reports it, and the first such report cancels every
+  other engine: no engine can improve on a proof.  A proven optimum is also
+  published as a lower bound, so a winner from another engine at the same
+  distance is marked proven too.
+* Engines never read bounds from the race: each proves only on its own (the
+  MILP by its backend's optimality certificate, an exhaustive search by
+  exhausting its space).
 * Incumbents (unproven feasible answers) are streamed through the result
   queue as :class:`IncumbentUpdate` messages, so an engine cancelled at the
   deadline still contributes its partial best.
@@ -40,21 +39,21 @@ Cancellation rules
   so a stuck engine can never hold the pool past the budget.
 * Cooperative cancellation: losers poll :meth:`RaceControl.should_stop`
   between candidates (and between shard submissions on the pool path) and
-  exit with status ``cancelled`` as soon as a winner is proven.
+  exit with status ``cancelled`` as soon as a winner is proven.  A MILP
+  engine polls between time slices, because a ``scipy.optimize.milp`` call
+  cannot be interrupted.
 * The solver itself never blocks past the deadline: engine threads are
   daemons, and the selection loop returns as soon as the budget expires,
   marking silent engines ``timeout``.
 
 Determinism / injection points
 ------------------------------
-Wall-clock scheduling is inherently racy, so every scheduling decision is
+Wall-clock scheduling is inherently racy, so the two scheduling seams are
 injectable: the *clock* (:class:`WallClock` — ``now()`` plus the blocking
-wait on the result queue), the *policy* (:class:`RaceAllPolicy` —
-engine start order, offsets and budget splits), and the *runner*
-(:class:`ThreadEngineRunner` — how a planned start becomes a running
-engine).  The deterministic test harness drives all three with a fake clock
-and scripted engines: no real threads, no sleeps, identical schedules every
-run.
+wait on the result queue) and the *runner* (:class:`ThreadEngineRunner` —
+how a launched spec becomes a running engine).  The deterministic test
+harness drives both with a fake clock and scripted engines: no real threads,
+no sleeps, identical schedules every run.
 """
 
 from __future__ import annotations
@@ -103,8 +102,16 @@ _DEVIATION_TOLERANCE = 1e-9
 #: engine's IMPROVEMENT_EPSILON).
 _IMPROVEMENT_EPSILON = 1e-12
 
+#: A MILP engine's budget is split into time slices that start at
+#: ``_MILP_SLICE_INITIAL`` seconds and double up to ``_MILP_SLICE_MAX``, with
+#: a cooperative-cancel check between slices: the cap bounds how long a
+#: cancelled MILP engine keeps a native solve running after the race has been
+#: decided.
+_MILP_SLICE_INITIAL = 0.5
+_MILP_SLICE_MAX = 2.0
 
-# -- specs and plans -------------------------------------------------------------------
+
+# -- specs -----------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -129,57 +136,6 @@ class EngineSpec:
             )
         if not self.label:
             object.__setattr__(self, "label", self.method)
-
-
-@dataclass(frozen=True)
-class EngineStart:
-    """One scheduled launch: which engine, when, and with how much budget.
-
-    ``offset`` is seconds after race start; ``budget`` caps the engine's
-    wall-clock run (``None`` = whatever remains of the deadline at launch).
-    """
-
-    spec: EngineSpec
-    offset: float = 0.0
-    budget: float | None = None
-
-
-class SchedulingPolicy(Protocol):
-    """Decides engine start order, offsets and budget splits."""
-
-    def plan(
-        self, specs: Sequence[EngineSpec], deadline: float
-    ) -> tuple[EngineStart, ...]: ...
-
-
-class RaceAllPolicy:
-    """The default policy: start every engine immediately, full budget each."""
-
-    def plan(
-        self, specs: Sequence[EngineSpec], deadline: float
-    ) -> tuple[EngineStart, ...]:
-        return tuple(EngineStart(spec, offset=0.0, budget=None) for spec in specs)
-
-
-class StaggeredPolicy:
-    """Start engines one ``stagger`` apart, in spec order, full budget each.
-
-    Later starts inherit every bound the earlier engines proved by then
-    (the MILP launch reads ``known_lower_bound`` from the race control).
-    """
-
-    def __init__(self, stagger: float) -> None:
-        if stagger < 0:
-            raise RefinementError(f"stagger must be non-negative, got {stagger}")
-        self.stagger = float(stagger)
-
-    def plan(
-        self, specs: Sequence[EngineSpec], deadline: float
-    ) -> tuple[EngineStart, ...]:
-        return tuple(
-            EngineStart(spec, offset=index * self.stagger, budget=None)
-            for index, spec in enumerate(specs)
-        )
 
 
 # -- clock -----------------------------------------------------------------------------
@@ -215,7 +171,7 @@ class WallClock:
 
 
 class RaceControl:
-    """Shared state of one race: bounds, timeline, cancellation.
+    """Shared state of one race: the proven bound, timeline, cancellation.
 
     Thread-safe — engine adapters publish from worker threads while the
     selection loop reads.  Never pickled: workers on the multiprocessing
@@ -226,10 +182,8 @@ class RaceControl:
         self._clock = clock
         self._started_at = started_at
         self._lock = threading.Lock()
-        self._best_upper: float | None = None
         self._proven_lower: float | None = None
         self._timeline: list[tuple[float, str, float]] = []
-        self._cancelled: set[str] = set()
         self._cancel_all = False
 
     def elapsed(self) -> float:
@@ -242,8 +196,6 @@ class RaceControl:
         """Record an engine's new best feasible distance on the timeline."""
         with self._lock:
             self._timeline.append((self.elapsed(), label, float(distance)))
-            if self._best_upper is None or distance < self._best_upper:
-                self._best_upper = float(distance)
 
     def publish_lower_bound(self, label: str, bound: float) -> None:
         """Record a *proven* lower bound on the optimal distance."""
@@ -251,12 +203,8 @@ class RaceControl:
             if self._proven_lower is None or bound > self._proven_lower:
                 self._proven_lower = float(bound)
 
-    def best_incumbent_distance(self) -> float | None:
-        with self._lock:
-            return self._best_upper
-
     def known_lower_bound(self) -> float | None:
-        """The tightest proven lower bound so far (re-read live by engines)."""
+        """The tightest proven lower bound so far (read by the selector)."""
         with self._lock:
             return self._proven_lower
 
@@ -266,18 +214,18 @@ class RaceControl:
 
     # -- cancellation ---------------------------------------------------------------
 
-    def cancel(self, label: str) -> None:
-        with self._lock:
-            self._cancelled.add(label)
-
     def cancel_all(self) -> None:
         with self._lock:
             self._cancel_all = True
 
     def should_stop(self, label: str) -> bool:
-        """Cooperative-cancel poll, called between candidates/shards."""
+        """Cooperative-cancel poll, called between candidates/shards.
+
+        The race cancels every engine at once, so ``label`` (the polling
+        engine) does not change the answer.
+        """
         with self._lock:
-            return self._cancel_all or label in self._cancelled
+            return self._cancel_all
 
     def stopper(self, label: str) -> Callable[[], bool]:
         """A zero-argument ``should_stop`` bound to one engine label."""
@@ -329,14 +277,14 @@ class EngineReport:
 
 
 class EngineRunner(Protocol):
-    """Turns a planned start into a running engine that reports to the queue."""
+    """Turns a launched spec into a running engine that reports to the queue."""
 
     def launch(
         self,
-        start: EngineStart,
+        spec: EngineSpec,
         control: RaceControl,
         reports: "queue_module.Queue",
-        run: Callable[[EngineStart, RaceControl, "queue_module.Queue"], None],
+        run: Callable[[EngineSpec, RaceControl, "queue_module.Queue"], None],
     ) -> None: ...
 
 
@@ -355,15 +303,15 @@ class ThreadEngineRunner:
 
     def launch(
         self,
-        start: EngineStart,
+        spec: EngineSpec,
         control: RaceControl,
         reports: "queue_module.Queue",
-        run: Callable[[EngineStart, RaceControl, "queue_module.Queue"], None],
+        run: Callable[[EngineSpec, RaceControl, "queue_module.Queue"], None],
     ) -> None:
         thread = threading.Thread(
             target=run,
-            args=(start, control, reports),
-            name=f"portfolio-{start.spec.label}",
+            args=(spec, control, reports),
+            name=f"portfolio-{spec.label}",
             daemon=True,
         )
         self._threads.append(thread)
@@ -432,7 +380,7 @@ class _Candidate:
     """An incumbent awaiting verification, ordered deterministically."""
 
     distance: float
-    plan_index: int
+    spec_index: int
     label: str
     refinement: Refinement
 
@@ -450,14 +398,13 @@ class PortfolioSolver:
     engines:
         Engine specs to race — method-name strings or :class:`EngineSpec`
         objects (defaults to :data:`DEFAULT_ENGINES`).  Labels must be
-        unique.
+        unique.  Every engine starts at race start, in this order.
     deadline:
         The wall-clock budget in seconds (required, positive).  The solver
         returns the best verified incumbent available when it expires.
-    clock, policy, runner:
+    clock, runner:
         Injection points for scheduling (see the module docstring).  The
-        defaults are :class:`WallClock`, :class:`RaceAllPolicy` and
-        :class:`ThreadEngineRunner`.
+        defaults are :class:`WallClock` and :class:`ThreadEngineRunner`.
     executor, annotated, mask_data:
         Warm per-dataset state shared by all engines of the race (and, via a
         :class:`~repro.service.session.DatasetSession`, across requests).
@@ -474,13 +421,10 @@ class PortfolioSolver:
         engines: Sequence[EngineSpec | str] | None = None,
         deadline: float | None = None,
         clock: Clock | None = None,
-        policy: SchedulingPolicy | None = None,
         runner: EngineRunner | None = None,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
         mask_data: MaskIndexData | None = None,
-        milp_slice_initial: float = 0.5,
-        milp_slice_max: float = 2.0,
     ) -> None:
         if deadline is None or deadline <= 0:
             raise RefinementError(
@@ -494,17 +438,10 @@ class PortfolioSolver:
         self.deadline = float(deadline)
         self.engines = self._resolve_specs(engines)
         self._clock: Clock = clock or WallClock()
-        self._policy: SchedulingPolicy = policy or RaceAllPolicy()
         self._runner: EngineRunner = runner or ThreadEngineRunner()
         self._executor = executor or QueryExecutor(database)
         self._annotated = annotated
         self._mask_data = mask_data
-        # MILP budgets are split into geometrically growing time slices with
-        # a cooperative-cancel check (and a fresh known_lower_bound) between
-        # slices: the cap bounds how long a cancelled MILP engine can keep a
-        # native solve running after the race has been decided.
-        self._milp_slice_initial = float(milp_slice_initial)
-        self._milp_slice_max = float(milp_slice_max)
 
     @staticmethod
     def _resolve_specs(
@@ -535,38 +472,20 @@ class PortfolioSolver:
         started = self._clock.now()
         deadline_at = started + self.deadline
         control = RaceControl(self._clock, started)
-        plan = self._policy.plan(self.engines, self.deadline)
-        self._validate_plan(plan)
-        order = {start.spec.label: index for index, start in enumerate(plan)}
-        pending = sorted(plan, key=lambda start: (start.offset, order[start.spec.label]))
+        order = {spec.label: index for index, spec in enumerate(self.engines)}
         reports: dict[str, EngineReport] = {}
         candidates: dict[str, _Candidate] = {}
         queue: queue_module.Queue = queue_module.Queue()
-        launched: set[str] = set()
-        expired = False
         finished = False
 
-        pending_index = 0
-        while len(reports) < len(plan):
-            now = self._clock.now()
-            while pending_index < len(pending) and (
-                now - started >= pending[pending_index].offset - 1e-12
-            ):
-                start = pending[pending_index]
-                pending_index += 1
-                self._launch(start, deadline_at, control, queue)
-                launched.add(start.spec.label)
-            if finished:
-                break
-            remaining = deadline_at - now
+        run = self._run_engine_for(deadline_at)
+        for spec in self.engines:
+            self._runner.launch(spec, control, queue, run)
+        while len(reports) < len(self.engines):
+            remaining = deadline_at - self._clock.now()
             if remaining <= 0:
-                expired = True
                 break
-            timeout = remaining
-            if pending_index < len(pending):
-                until_next = started + pending[pending_index].offset - now
-                timeout = min(timeout, max(until_next, 0.0))
-            message = self._clock.wait(queue, timeout)
+            message = self._clock.wait(queue, remaining)
             if message is None:
                 continue
             self._record(message, order, reports, candidates)
@@ -574,27 +493,24 @@ class PortfolioSolver:
                 message.proven_optimal or message.proven_infeasible
             ):
                 # A proof ends the race: no engine can improve on it.
-                control.cancel_all()
                 finished = True
+                break
 
-        if expired:
-            control.cancel_all()
+        # Proof, deadline or every engine reported: nobody may keep running.
+        control.cancel_all()
         # Give cancelled/just-finishing engines a bounded window to park (a
         # native solve torn down at interpreter exit can abort the process),
         # then collect any terminal reports that landed in the meantime.
         self._join_runner(deadline_at)
         self._drain(queue, order, reports, candidates)
 
-        for start in plan:
-            label = start.spec.label
-            if label in reports:
-                continue
-            status = STATUS_TIMEOUT if label in launched else STATUS_CANCELLED
-            if finished:
-                status = STATUS_CANCELLED
-            reports[label] = EngineReport(
-                label=label, method=start.spec.method, status=status
-            )
+        for spec in self.engines:
+            if spec.label not in reports:
+                reports[spec.label] = EngineReport(
+                    label=spec.label,
+                    method=spec.method,
+                    status=STATUS_CANCELLED if finished else STATUS_TIMEOUT,
+                )
 
         result = self._select(control, reports, candidates, started)
         if result.status == "deadline" and raise_on_deadline:
@@ -616,44 +532,24 @@ class PortfolioSolver:
         if join is None:
             return
         remaining = deadline_at - self._clock.now()
-        join(min(self._milp_slice_max + 0.5, max(0.2, remaining + 0.4)))
-
-    def _validate_plan(self, plan: Sequence[EngineStart]) -> None:
-        planned = [start.spec.label for start in plan]
-        expected = [spec.label for spec in self.engines]
-        if sorted(planned) != sorted(expected):
-            raise RefinementError(
-                f"scheduling policy planned engines {planned}, expected "
-                f"exactly {expected}"
-            )
-
-    def _launch(
-        self,
-        start: EngineStart,
-        deadline_at: float,
-        control: RaceControl,
-        queue: "queue_module.Queue",
-    ) -> None:
-        self._runner.launch(start, control, queue, self._run_engine_for(deadline_at))
+        join(min(_MILP_SLICE_MAX + 0.5, max(0.2, remaining + 0.4)))
 
     def _run_engine_for(
         self, deadline_at: float
-    ) -> Callable[[EngineStart, RaceControl, "queue_module.Queue"], None]:
+    ) -> Callable[[EngineSpec, RaceControl, "queue_module.Queue"], None]:
         def run(
-            start: EngineStart,
+            spec: EngineSpec,
             control: RaceControl,
             reports: "queue_module.Queue",
         ) -> None:
             began = self._clock.now()
             budget = max(deadline_at - began, 0.0)
-            if start.budget is not None:
-                budget = min(budget, start.budget)
             try:
-                report = self._run_engine(start.spec, budget, control, reports)
+                report = self._run_engine(spec, budget, control, reports)
             except Exception as error:  # noqa: BLE001 - engine isolation is the point
                 report = EngineReport(
-                    label=start.spec.label,
-                    method=start.spec.method,
+                    label=spec.label,
+                    method=spec.method,
                     status=STATUS_ERROR,
                     error=f"{type(error).__name__}: {error}",
                 )
@@ -687,11 +583,8 @@ class PortfolioSolver:
         The MILP backends cannot be interrupted mid-solve, so cancellation
         latency is bought with ``time_limit`` splits: slices grow
         geometrically (bounded restart overhead) up to the slice cap, and
-        between slices the engine polls ``should_stop``, re-reads the
-        latest proven ``known_lower_bound`` (branch_and_bound terminates the
-        moment its incumbent matches it; the scipy backend stops via the
-        HiGHS ``objective_target`` option), and streams any improved
-        incumbent to the race.
+        between slices the engine polls ``should_stop`` and streams any
+        improved incumbent to the race.
         """
         label = spec.label
         deadline_at = self._clock.now() + budget
@@ -709,7 +602,7 @@ class PortfolioSolver:
         prepared = solver.prepare()
         report = EngineReport(label=label, method=spec.method, status=STATUS_TIMEOUT)
         best: tuple[float, float, Refinement] | None = None
-        slice_s = self._milp_slice_initial
+        slice_s = _MILP_SLICE_INITIAL
         while True:
             if control.should_stop(label):
                 report.status = STATUS_CANCELLED
@@ -718,11 +611,6 @@ class PortfolioSolver:
             if remaining <= 1e-9:
                 break
             solver.time_limit = min(slice_s, remaining)
-            options: dict = {}
-            known = control.known_lower_bound()
-            if known is not None:
-                options["known_lower_bound"] = known
-            solver.solver_options = options
             result = solver.solve(prepared=prepared)
             report.statistics = dict(result.model_statistics)
             if result.feasible and (
@@ -751,7 +639,7 @@ class PortfolioSolver:
                 report.status = STATUS_SOLVED
                 report.proven_infeasible = True
                 break
-            slice_s = min(slice_s * 2.0, self._milp_slice_max)
+            slice_s = min(slice_s * 2.0, _MILP_SLICE_MAX)
         if best is not None:
             report.feasible = True
             report.distance_value, report.deviation, report.refinement = best
@@ -791,7 +679,6 @@ class PortfolioSolver:
             annotated=self._annotated,
             should_stop=control.stopper(label),
             on_incumbent=on_incumbent,
-            cutoff=control.known_lower_bound,
         )
         if spec.method == "naive+prov":
             search: NaiveSearch | NaiveProvenanceSearch = NaiveProvenanceSearch(
@@ -820,13 +707,12 @@ class PortfolioSolver:
             report.distance_value = result.distance_value
             report.deviation = result.deviation
             report.refinement = result.refinement
-        proved = result.exhausted or result.cutoff_reached
-        if proved:
+        if result.exhausted:
             report.status = STATUS_SOLVED
             if result.feasible:
                 report.proven_optimal = True
                 control.publish_lower_bound(label, result.distance_value)
-            elif result.exhausted:
+            else:
                 report.proven_infeasible = True
         elif result.cancelled:
             report.status = STATUS_CANCELLED
@@ -875,7 +761,7 @@ class PortfolioSolver:
         if current is None or distance < current.distance - _IMPROVEMENT_EPSILON:
             candidates[label] = _Candidate(
                 distance=float(distance),
-                plan_index=order.get(label, len(order)),
+                spec_index=order.get(label, len(order)),
                 label=label,
                 refinement=refinement,
             )
@@ -914,7 +800,7 @@ class PortfolioSolver:
             elapsed=self._clock.now() - started,
         )
         ranked = sorted(
-            candidates.values(), key=lambda c: (c.distance, c.plan_index)
+            candidates.values(), key=lambda c: (c.distance, c.spec_index)
         )
         for candidate in ranked:
             verified = self._verify(candidate)
@@ -989,13 +875,10 @@ __all__ = [
     "EngineReport",
     "EngineRunner",
     "EngineSpec",
-    "EngineStart",
     "IncumbentUpdate",
     "PortfolioResult",
     "PortfolioSolver",
-    "RaceAllPolicy",
     "RaceControl",
-    "StaggeredPolicy",
     "ThreadEngineRunner",
     "WallClock",
 ]

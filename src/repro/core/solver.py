@@ -12,6 +12,7 @@ The solver glues the pieces together:
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -40,11 +41,22 @@ class PreparedProblem:
     building them.  A warm dataset session caches one per distinct
     ``(constraints, epsilon, distance, method)`` so a repeated request skips
     setup entirely and re-solves from the cached standard form.
+
+    Solving is not read-only: the cut loop appends separated rows to the
+    model and marks them added in the lazy pools, and a second solve that
+    separated against those pools at the same time would find the rows no
+    longer pending and accept an infeasible relaxation optimum.
+    :meth:`RefinementSolver.solve` therefore holds ``solve_lock`` around the
+    backend solve and cut loop, so solves of one prepared problem run one at
+    a time while distinct problems still solve concurrently.
     """
 
     original_result: RankedResult
     artifacts: BuildArtifacts
     setup_seconds: float
+
+    def __post_init__(self) -> None:
+        self.solve_lock = threading.Lock()
 
 
 @dataclass
@@ -111,11 +123,6 @@ class RefinementSolver:
         (``"auto"`` honours the ``REPRO_MILP_BACKEND`` environment variable).
     time_limit:
         Optional wall-clock limit (seconds) for the MILP backend.
-    solver_options:
-        Extra keyword arguments forwarded to the backend's ``solve`` — e.g.
-        ``mip_rel_gap``/``presolve``/``highs_options`` for the scipy (HiGHS)
-        backend, ``node_limit``/``warm_start_values``/``known_lower_bound``
-        for branch-and-bound.
     executor_backend, executor_db:
         Query execution backend (``"memory"``/``"sqlite"``) and optional
         on-disk sqlite path, forwarded to :class:`QueryExecutor`; both
@@ -144,7 +151,6 @@ class RefinementSolver:
         time_limit: float | None = None,
         executor_backend: str | None = None,
         executor_db: str | None = None,
-        solver_options: dict | None = None,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
     ) -> None:
@@ -159,7 +165,6 @@ class RefinementSolver:
         self.method = method
         self.backend = backend
         self.time_limit = time_limit
-        self.solver_options = dict(solver_options or {})
         self.options = replace(
             BuilderOptions.all() if method == "milp+opt" else BuilderOptions.none(),
             lazy_generation=True,
@@ -198,17 +203,19 @@ class RefinementSolver:
             prepared = self.prepare()
         original_result, artifacts = prepared.original_result, prepared.artifacts
 
-        if artifacts.lazy_pools:
-            solution, cut_statistics = self._solve_cut_loop(artifacts)
-        else:
-            solution = artifacts.model.solve(
-                self.backend, time_limit=self.time_limit, **self.solver_options
-            )
-            cut_statistics = {}
+        with prepared.solve_lock:
+            if artifacts.lazy_pools:
+                solution, cut_statistics = self._solve_cut_loop(artifacts)
+            else:
+                solution = artifacts.model.solve(
+                    self.backend, time_limit=self.time_limit
+                )
+                cut_statistics = {}
+            full_lowerings = artifacts.model.full_lowerings
         solve_seconds = solution.solve_seconds
 
         result = self._extract(original_result, artifacts, solution)
-        result.model_statistics["full_lowerings"] = artifacts.model.full_lowerings
+        result.model_statistics["full_lowerings"] = full_lowerings
         result.model_statistics.update(cut_statistics)
         result.setup_seconds = prepared.setup_seconds
         result.solve_seconds = solve_seconds
@@ -227,19 +234,12 @@ class RefinementSolver:
 
         The loop budget is ``self.time_limit`` clamped by the ambient
         :func:`~repro.core.deadline.current_deadline`; each round's backend
-        solve gets whatever remains.  A ``known_lower_bound`` the caller put
-        into ``solver_options`` (the portfolio race's proven bound) seeds the
-        loop's own bound; the bound and the previous round's incumbent are
-        threaded to the backends as guidance, on top of the caller's other
-        options.
+        solve gets whatever remains, plus the loop's guidance (its proven
+        bound and the previous round's incumbent).
         """
-        options = dict(self.solver_options)
-        external_bound = options.pop("known_lower_bound", None)
 
         def backend_solve(limit: float | None, guidance: dict) -> Solution:
-            merged = dict(options)
-            merged.update(guidance)
-            return artifacts.model.solve(self.backend, time_limit=limit, **merged)
+            return artifacts.model.solve(self.backend, time_limit=limit, **guidance)
 
         outcome = run_cut_loop(
             artifacts.model,
@@ -247,7 +247,6 @@ class RefinementSolver:
             backend_solve,
             time_limit=self.time_limit,
             deadline=current_deadline(),
-            external_bound=external_bound,
             completion=artifacts.complete_candidate,
         )
         solution = replace(outcome.solution, solve_seconds=outcome.solve_seconds)
@@ -309,7 +308,7 @@ class RefinementSolver:
             feasible=False,
             method=self.method,
             distance_code=self.distance.code,
-            model_statistics=artifacts.statistics,
+            model_statistics=dict(artifacts.statistics),
             solution_status=solution.status.value,
         )
         if not solution.is_feasible:
@@ -348,7 +347,6 @@ def solve_refinement(
     time_limit: float | None = None,
     executor_backend: str | None = None,
     executor_db: str | None = None,
-    solver_options: dict | None = None,
 ) -> RefinementResult:
     """One-call convenience wrapper around :class:`RefinementSolver`."""
     solver = RefinementSolver(
@@ -362,7 +360,6 @@ def solve_refinement(
         time_limit=time_limit,
         executor_backend=executor_backend,
         executor_db=executor_db,
-        solver_options=solver_options,
     )
     return solver.solve()
 

@@ -87,8 +87,7 @@ class BranchAndBoundSolver(SolverBackend):
 
         # Check the warm start *before* touching any LP: a warm incumbent that
         # already matches a proven lower bound is optimal, and the solve must
-        # terminate immediately (zero relaxations) — the portfolio racer leans
-        # on this when one engine's proof reaches another's launch.
+        # terminate immediately (zero relaxations).
         incumbent_value = np.inf
         incumbent_x: np.ndarray | None = None
         warm_x = self._feasible_warm_start(form, warm_start_values, warm_start_tolerance)

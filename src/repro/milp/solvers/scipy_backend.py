@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -20,6 +19,10 @@ _STATUS_MAP = {
     4: SolveStatus.ERROR,
 }
 
+#: Every solve is exact: HiGHS's default relative gap (1e-4) may stop short of
+#: the optimum a refinement's distance is compared on.
+_MIP_REL_GAP = 0.0
+
 
 class ScipySolver(SolverBackend):
     """Exact MILP solves through SciPy's HiGHS bindings."""
@@ -30,31 +33,21 @@ class ScipySolver(SolverBackend):
         self,
         model,
         time_limit: float | None = None,
-        mip_rel_gap: float = 0.0,
-        presolve: bool | None = None,
+        warm_start_values=None,
         known_lower_bound: float | None = None,
-        **options,
     ) -> Solution:
-        """Solve ``model`` through :func:`scipy.optimize.milp`.
+        """Solve ``model`` with one :func:`scipy.optimize.milp` call.
 
-        ``mip_rel_gap``/``presolve``/``time_limit`` map to the HiGHS options
-        of the same names; anything HiGHS-specific beyond those can be passed
-        verbatim via ``options["highs_options"]`` (a dict).  On a
-        ``TIME_LIMIT``/``NODE_LIMIT`` stop the best incumbent found so far is
-        returned (``res.x`` is present), not an empty solution, so callers —
-        and the benchmark rows — still see the best-found objective.
+        The solve is exact (:data:`_MIP_REL_GAP`) and stops early only on
+        ``time_limit``.  On a ``TIME_LIMIT`` stop the best incumbent found so
+        far is returned (``res.x`` is present), not an empty solution, so
+        callers — and the benchmark rows — still see the best-found
+        objective.
 
-        ``known_lower_bound`` — a proven bound no feasible solution can beat
-        (the cut loop's round bound, a portfolio race's published proof) —
-        maps to the HiGHS ``objective_target``: HiGHS stops the moment an
-        incumbent reaches it.  SciPy's wrapper extracts the solution vector
-        only for a fixed allowlist of model statuses that does not include
-        the target stop (HiGHS status 12), so when that stop fires the
-        incumbent comes back as ``res.x is None`` with an error code.  The
-        stop itself proves the optimum equals the bound, so the backend
-        re-solves once without the target to recover the incumbent — the
-        guidance then costs one extra (early-stopped) solve instead of
-        returning an empty ``ERROR`` solution.
+        ``warm_start_values`` and ``known_lower_bound`` are the hints the cut
+        loop and Erica pass for branch-and-bound; ``scipy.optimize.milp`` has
+        no MIP start and no useful early stop on a bound, so they are
+        accepted and ignored.
         """
         # Resolved per call, so a patched ``scipy.optimize.milp`` (tests,
         # tracing) takes effect.
@@ -78,52 +71,18 @@ class ScipySolver(SolverBackend):
         if form.a_eq.shape[0]:
             constraints.append(LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
 
-        bounds = Bounds(lb=form.lower, ub=form.upper)
-        solver_options: dict[str, object] = {"mip_rel_gap": mip_rel_gap}
+        options = {"mip_rel_gap": _MIP_REL_GAP}
         if time_limit is not None:
-            solver_options["time_limit"] = float(time_limit)
-        if presolve is not None:
-            solver_options["presolve"] = bool(presolve)
-        solver_options.update(options.get("highs_options", {}))
-        if known_lower_bound is not None:
-            # Translate the external-objective bound into HiGHS's internal
-            # minimisation units (constant stripped, sign flipped when the
-            # model maximises).
-            target = float(known_lower_bound) - form.objective_constant
-            if form.maximize:
-                target = -target
-            solver_options["objective_target"] = target
+            options["time_limit"] = float(time_limit)
 
         started = time.perf_counter()
-        with warnings.catch_warnings():
-            # scipy.optimize.milp warns about options it does not recognise
-            # before passing them to HiGHS verbatim; objective_target is one
-            # of those, and the pass-through is exactly what we want.
-            warnings.filterwarnings(
-                "ignore", message="Unrecognized options detected"
-            )
-            result = milp(
-                c=form.c,
-                constraints=constraints,
-                integrality=form.integrality,
-                bounds=bounds,
-                options=solver_options,
-            )
-            if result.x is None and "objective_target" in solver_options:
-                # HiGHS stopped because an incumbent reached the objective
-                # target, but scipy discards the solution vector for that
-                # model status.  Reaching the target proves the optimum
-                # equals the known bound, so an ordinary re-solve recovers
-                # the incumbent.
-                retry_options = dict(solver_options)
-                del retry_options["objective_target"]
-                result = milp(
-                    c=form.c,
-                    constraints=constraints,
-                    integrality=form.integrality,
-                    bounds=bounds,
-                    options=retry_options,
-                )
+        result = milp(
+            c=form.c,
+            constraints=constraints,
+            integrality=form.integrality,
+            bounds=Bounds(lb=form.lower, ub=form.upper),
+            options=options,
+        )
         elapsed = time.perf_counter() - started
 
         status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)

@@ -46,10 +46,12 @@ def session_key(dataset: str, parameters: Mapping | None = None) -> tuple:
 class DatasetSession:
     """The warm state of one dataset configuration.
 
-    Thread-safe: cache construction is serialized behind one lock, and every
-    cached object is immutable (or, for the executor, internally locked), so
-    concurrent refine requests read them freely.  Solves themselves run
-    outside the session lock.
+    Thread-safe: cache construction is serialized behind one lock.  The
+    annotation and the mask-index data are immutable and the executor is
+    internally locked, so concurrent refine requests read them freely.  A
+    prepared MILP is not immutable — solving it may append cut rows to its
+    model — so ``RefinementSolver.solve`` holds the prepared problem's
+    ``solve_lock`` while it solves.  Solves run outside the session lock.
     """
 
     #: Prepared MILPs kept per session; each holds a lowered standard form,
@@ -137,9 +139,12 @@ class DatasetSession:
         """The prepared MILP for one problem key, built on first use (LRU).
 
         The build runs under the session lock: concurrent *distinct* problems
-        serialize their setup (solves still run concurrently), and concurrent
-        *identical* problems are already collapsed by the coalescer before
-        they reach the session.
+        serialize their setup (solves still run concurrently).  Concurrent
+        requests for one problem can reach here with the same key: the
+        coalescer keys on the whole request, so requests differing only in
+        ``time_limit``, ``deadline_s`` or ``backend`` are not merged.  They
+        get the same prepared problem, whose ``solve_lock`` makes their
+        solves take turns.
         """
         with self._lock:
             prepared = self._prepared_milps.get(key)

@@ -1,6 +1,6 @@
 """Deterministic scheduling tests for the portfolio racer.
 
-The solver's three injection points — clock, policy, runner — are driven by a
+The solver's two injection points — clock and runner — are driven by a
 :class:`FakeClock` (virtual time, scripted message delivery) and a
 :class:`ScriptedRunner` (no threads: a launch schedules the engine's scripted
 messages on the fake clock).  Every test in this module therefore runs with
@@ -25,11 +25,9 @@ from repro.core import ConstraintSet, NaiveSearch, at_least
 from repro.core.portfolio import (
     EngineReport,
     EngineSpec,
-    EngineStart,
     IncumbentUpdate,
     PortfolioSolver,
-    RaceAllPolicy,
-    StaggeredPolicy,
+    RaceControl,
 )
 from repro.datasets.registry import load_dataset
 from repro.exceptions import DeadlineExceeded, RefinementError
@@ -89,8 +87,8 @@ class ScriptedRunner:
         self.launches: list[tuple[str, float]] = []
         self.controls: dict = {}
 
-    def launch(self, start: EngineStart, control, reports, run) -> None:
-        label = start.spec.label
+    def launch(self, spec: EngineSpec, control, reports, run) -> None:
+        label = spec.label
         now = self.clock.now()
         self.launches.append((label, now))
         self.controls[label] = control
@@ -179,7 +177,7 @@ def problem():
     }
 
 
-def scripted_solver(problem, scripts, engines, deadline, policy=None):
+def scripted_solver(problem, scripts, engines, deadline):
     clock = FakeClock()
     runner = ScriptedRunner(clock, scripts)
     solver = PortfolioSolver(
@@ -190,7 +188,6 @@ def scripted_solver(problem, scripts, engines, deadline, policy=None):
         engines=engines,
         deadline=deadline,
         clock=clock,
-        policy=policy,
         runner=runner,
     )
     return solver, clock, runner
@@ -328,42 +325,10 @@ class TestDeadlineExpiry:
         assert result.engine_statuses == {"a": "cancelled", "b": "solved"}
 
 
-# -- bound propagation -----------------------------------------------------------------
+# -- the proven bound ------------------------------------------------------------------
 
 
 class TestBoundPropagation:
-    def test_later_engine_sees_bounds_published_before_its_launch(self, problem):
-        """Staggered starts inherit the earlier engines' published bounds."""
-        worse_d, worse_r, worse_dev = problem["worse"]
-        observed = {}
-
-        def snoop(control):
-            observed["upper"] = control.best_incumbent_distance()
-            observed["lower"] = control.known_lower_bound()
-            return None
-
-        def publish_bound(control):
-            # An engine that proved a lower bound but keeps running (the
-            # branch-and-bound backend between time slices behaves like this).
-            control.publish_lower_bound("a", problem["optimum"])
-            return streams_incumbent("a", worse_d, worse_dev, worse_r)(control)
-
-        scripts = {"a": [(1.0, publish_bound)], "b": [(0.5, snoop)]}
-        engines = [
-            EngineSpec(method="naive+prov", label="a"),
-            EngineSpec(method="milp+opt", label="b"),
-        ]
-        solver, clock, runner = scripted_solver(
-            problem, scripts, engines, deadline=5.0, policy=StaggeredPolicy(3.0)
-        )
-        result = solver.solve()
-
-        assert runner.launches == [("a", 0.0), ("b", 3.0)]
-        # b's snoop ran at t=3.5, after a published at t=1.0.
-        assert observed == {"upper": worse_d, "lower": problem["optimum"]}
-        assert result.winner == "a"
-        assert result.elapsed == 5.0
-
     def test_incumbent_matching_proven_bound_is_optimal(self, problem):
         """A winner whose distance meets the proven lower bound is optimal
         even when the prover itself is a different engine."""
@@ -383,16 +348,23 @@ class TestBoundPropagation:
         assert result.winner == "b"
         assert result.proven_optimal
 
-    def test_exhaustive_engine_stops_at_a_propagated_cutoff(self, problem):
-        """The real naive adapter reads the live bound and stops early,
-        reporting a *proven* answer without exhausting the space."""
-        clock = FakeClock()
+    def test_selector_keeps_the_tightest_proven_bound(self):
+        control = RaceControl(FakeClock(), 0.0)
+        assert control.known_lower_bound() is None
+        control.publish_lower_bound("a", 2.0)
+        control.publish_lower_bound("b", 1.0)
+        assert control.known_lower_bound() == 2.0
+        control.publish_lower_bound("b", 3.0)
+        assert control.known_lower_bound() == 3.0
+
+    def test_exhaustive_engine_ignores_a_published_bound(self, problem):
+        """The real naive adapter never reads the race's bound: even with the
+        optimum already published by another engine it proves its answer only
+        by exhausting the whole space."""
         solver, _, _ = scripted_solver(
             problem, {}, [EngineSpec(method="naive+prov")], deadline=60.0
         )
-        from repro.core.portfolio import RaceControl
-
-        control = RaceControl(clock, 0.0)
+        control = RaceControl(FakeClock(), 0.0)
         control.publish_lower_bound("other", problem["optimum"])
         reports: queue.Queue = queue.Queue()
         report = solver._run_exhaustive(
@@ -401,14 +373,13 @@ class TestBoundPropagation:
         assert report.status == "solved"
         assert report.proven_optimal
         assert report.distance_value == problem["optimum"]
-        # The cutoff fired before the enumeration finished the whole space.
         assert (
             report.statistics["candidates_examined"]
-            < report.statistics["space_size"]
+            == report.statistics["space_size"]
         )
 
 
-# -- scheduling policies and validation ------------------------------------------------
+# -- launch order and validation -------------------------------------------------------
 
 
 class TestSchedulingAndValidation:
@@ -418,23 +389,16 @@ class TestSchedulingAndValidation:
             EngineSpec(method="milp", label="y"),
             EngineSpec(method="naive+prov", label="z"),
         ]
-        solver, _, runner = scripted_solver(
-            problem, {}, engines, deadline=0.5, policy=RaceAllPolicy()
-        )
+        solver, _, runner = scripted_solver(problem, {}, engines, deadline=0.5)
         solver.solve()
         assert runner.launches == [("x", 0.0), ("y", 0.0), ("z", 0.0)]
 
-    def test_policy_planning_wrong_engines_is_rejected(self, problem):
-        class BadPolicy:
-            def plan(self, specs, deadline):
-                return (EngineStart(EngineSpec(method="naive", label="ghost")),)
-
-        engines = [EngineSpec(method="naive", label="a")]
-        solver, _, _ = scripted_solver(
-            problem, {}, engines, deadline=1.0, policy=BadPolicy()
-        )
-        with pytest.raises(RefinementError, match="planned engines"):
-            solver.solve()
+    def test_cancel_all_stops_every_engine(self):
+        control = RaceControl(FakeClock(), 0.0)
+        stop_a = control.stopper("a")
+        assert not stop_a() and not control.should_stop("b")
+        control.cancel_all()
+        assert stop_a() and control.should_stop("b")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(RefinementError, match="unknown portfolio engine"):
@@ -456,10 +420,6 @@ class TestSchedulingAndValidation:
                 PortfolioSolver(
                     bundle.database, bundle.query, problem["constraints"], deadline=bad
                 )
-
-    def test_negative_stagger_rejected(self):
-        with pytest.raises(RefinementError, match="non-negative"):
-            StaggeredPolicy(-0.1)
 
 
 # -- determinism -----------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Pinning tests for incumbents under limits in the branch-and-bound backend.
+"""Pinning tests for incumbents under limits and the backends' solve hints.
 
-The portfolio racer leans on two behaviours fixed here:
+Branch-and-bound behaviours fixed here, which the cut loop and Erica's
+enumeration rely on when they pass their hints to it:
 
 * a warm start that already matches a proven ``known_lower_bound`` terminates
-  the solve **immediately** — ``OPTIMAL``, zero LP relaxations, zero nodes —
-  so a bound propagated from another engine short-circuits a fresh launch;
+  the solve **immediately** — ``OPTIMAL``, zero LP relaxations, zero nodes;
 * a time-limited solve that found (or was seeded with) an incumbent reports
   ``TIME_LIMIT`` *with* the incumbent (``has_incumbent``), never losing a
-  feasible answer to the clock.
+  feasible answer to the clock (the portfolio's MILP slices rely on this).
+
+The scipy backend accepts the same two hints and ignores them: every solve is
+one ``scipy.optimize.milp`` call.
 """
 
 from __future__ import annotations
@@ -96,15 +99,8 @@ def test_infeasible_warm_start_is_discarded_not_trusted():
     assert solution.objective_value == pytest.approx(56.0)
 
 
-def test_scipy_objective_target_stop_recovers_the_incumbent(monkeypatch):
-    """The target stop (HiGHS status 12) must not surface as an empty ERROR.
-
-    scipy's wrapper discards the solution vector when HiGHS stops on
-    ``objective_target``, so the backend re-solves once without the target.
-    The first (discarded) stop is simulated here because whether HiGHS
-    checks the target before or after proving optimality is timing-dependent
-    on small models.
-    """
+def test_scipy_solves_once_and_ignores_the_branch_and_bound_hints(monkeypatch):
+    """Both hints reach the scipy backend, and neither changes its one call."""
     import scipy.optimize
 
     model, _ = knapsack()
@@ -114,31 +110,28 @@ def test_scipy_objective_target_stop_recovers_the_incumbent(monkeypatch):
     real_milp = scipy.optimize.milp
     calls = []
 
-    def target_stopping(*args, **kwargs):
-        options = kwargs.get("options", {})
-        calls.append(dict(options))
-        if "objective_target" in options:
-            from scipy.optimize import OptimizeResult
-
-            return OptimizeResult(
-                status=4,
-                x=None,
-                fun=None,
-                message=(
-                    "model_status is Target for objective reached; "
-                    "primal_status is Feasible"
-                ),
-            )
+    def counting(*args, **kwargs):
+        calls.append(dict(kwargs["options"]))
         return real_milp(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", target_stopping)
+    monkeypatch.setattr(scipy.optimize, "milp", counting)
     solution = ScipySolver().solve(
-        model, known_lower_bound=reference.objective_value
+        model,
+        time_limit=10.0,
+        warm_start_values=dict(reference.values),
+        known_lower_bound=reference.objective_value,
     )
-    assert len(calls) == 2
-    assert "objective_target" in calls[0] and "objective_target" not in calls[1]
-    assert solution.is_feasible and solution.has_incumbent
+    # Exactly one HiGHS call, with no option derived from the hints.
+    assert calls == [{"mip_rel_gap": 0.0, "time_limit": 10.0}]
+    assert solution.is_optimal
     assert solution.objective_value == pytest.approx(reference.objective_value)
+
+
+def test_scipy_rejects_an_unknown_option():
+    """A branch-and-bound-only option is an error, not silently dropped."""
+    model, _ = knapsack()
+    with pytest.raises(TypeError):
+        ScipySolver().solve(model, node_limit=10)
 
 
 def test_has_incumbent_is_false_without_an_assignment():
