@@ -75,6 +75,15 @@ def parse_constraint(text: str, kind: str) -> CardinalityConstraint:
     return builder(bound, k, **conditions)
 
 
+def _constraint_text(text: str) -> str:
+    """argparse ``type`` of ``--at-least``/``--at-most``: check, keep the text."""
+    try:
+        parse_constraint(text, "lower")
+    except ReproError as error:
+        raise argparse.ArgumentTypeError(str(error)) from error
+    return text
+
+
 def _dataset_parameters(args: argparse.Namespace) -> dict:
     parameters: dict = {}
     if args.rows is not None:
@@ -118,8 +127,8 @@ def _command_inspect(args: argparse.Namespace) -> int:
     print(f"top-{top}:")
     for rank, row in enumerate(result.projected.rows[:top], start=1):
         print(f"  {rank:3d}. {row}")
-    for group_text in args.group or []:
-        group = Group(_parse_group(group_text))
+    for conditions in args.group or []:
+        group = Group(conditions)
         count = result.count_in_top_k(top, group.matches)
         print(f"group {group.label()}: {count} of the top-{top}")
     return 0
@@ -235,6 +244,10 @@ def _print_refine_response(response) -> int:
             print(entry["refined_sql"])
         return 0
     if not response.feasible:
+        if response.status == "timeout":
+            print(f"[{response.method}/{response.distance_code}] timeout")
+            print("The solver hit its time limit before finding any refinement.")
+            return 1
         print(
             f"[{response.method}/{response.distance_code}] no refinement within the "
             "maximum deviation exists"
@@ -288,15 +301,17 @@ def _parse_warm_spec(text: str) -> tuple[str, dict]:
                     f"invalid --warm parameter {part!r}; expected name=value"
                 )
             name = name.strip()
-            if name == "scale_factor":
-                parameters[name] = float(value)
-            elif name in ("num_rows", "seed"):
-                parameters[name] = int(value)
-            else:
+            if name not in ("num_rows", "scale_factor", "seed"):
                 raise argparse.ArgumentTypeError(
                     f"unknown --warm parameter {name!r}; "
                     "use num_rows, scale_factor or seed"
                 )
+            try:
+                parameters[name] = float(value) if name == "scale_factor" else int(value)
+            except ValueError as error:
+                raise argparse.ArgumentTypeError(
+                    f"invalid --warm parameter {part!r}; {name} takes a number"
+                ) from error
     return dataset, parameters
 
 
@@ -337,8 +352,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_body_bytes=args.max_body_bytes,
         drain_timeout_s=args.drain_timeout,
     )
-    for spec in args.warm or []:
-        dataset, parameters = _parse_warm_spec(spec)
+    for dataset, parameters in args.warm or []:
         pool.get(dataset, parameters, warm=True)
         print(f"warmed {dataset} {parameters or ''}".rstrip())
     print(f"serving on http://{server.host}:{server.port} (Ctrl-C to stop)")
@@ -379,17 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_arguments(inspect_parser)
     inspect_parser.add_argument("--top", type=int, default=10, help="how many rows to display")
     inspect_parser.add_argument(
-        "--group", action="append", help="report the top-k count of a group (Attr=Value)"
+        "--group", action="append", type=_parse_group,
+        help="report the top-k count of a group (Attr=Value)",
     )
 
     refine_parser = subparsers.add_parser("refine", help="solve a refinement problem")
     _add_dataset_arguments(refine_parser)
     refine_parser.add_argument(
-        "--at-least", action="append", metavar="BOUND@K:Attr=Value",
+        "--at-least", action="append", type=_constraint_text,
+        metavar="BOUND@K:Attr=Value",
         help="lower-bound cardinality constraint (repeatable)",
     )
     refine_parser.add_argument(
-        "--at-most", action="append", metavar="BOUND@K:Attr=Value",
+        "--at-most", action="append", type=_constraint_text,
+        metavar="BOUND@K:Attr=Value",
         help="upper-bound cardinality constraint (repeatable)",
     )
     refine_parser.add_argument("--epsilon", type=float, default=0.5, help="maximum deviation")
@@ -466,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="warm dataset sessions kept alive (LRU beyond this)",
     )
     serve_parser.add_argument(
-        "--warm", action="append", metavar="DATASET[:param=value,...]",
+        "--warm", action="append", type=_parse_warm_spec,
+        metavar="DATASET[:param=value,...]",
         help="warm a dataset session before serving, e.g. meps:num_rows=300 "
         "(repeatable)",
     )

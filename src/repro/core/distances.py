@@ -193,14 +193,20 @@ class PredicateDistance(DistanceMeasure):
         in_original = [value for value in domain if value in original]
         outside_original = [value for value in domain if value not in original]
 
+        base = len(original)
         intersection = linear_sum(
             context.categorical_variables[(attribute, value)] for value in in_original
         )
+        # Original values that no tuple of ~Q(D) carries select nothing, so
+        # every refinement keeps them (see milp_builder.refined_values): they
+        # add a constant to the intersection, whose bound is then all of R.
+        absent = base - len(in_original)
+        if absent:
+            intersection = intersection + absent
         extras = linear_sum(
             context.categorical_variables[(attribute, value)] for value in outside_original
         )
-        base = len(original)
-        max_intersection = max(len(in_original), 1)
+        max_intersection = base
 
         # One indicator per feasible denominator value |R ∪ S| = base + e.
         selectors = []

@@ -50,6 +50,7 @@ from repro.core.milp_builder import (
     build_numerical_predicate_variables,
     flush_rows,
     refined_constant,
+    refined_values,
     selection_rows,
 )
 from repro.core.refinement import Refinement
@@ -385,14 +386,8 @@ class EricaBaseline:
     ) -> Refinement:
         categorical: dict[str, frozenset] = {}
         for predicate in self.query.categorical_predicates:
-            values = frozenset(
-                value
-                for value in annotated.categorical_domains[predicate.attribute]
-                if solution.value(categorical_variables[(predicate.attribute, value)]) > 0.5
-            )
-            if not values:
-                values = predicate.values
-            categorical[predicate.attribute] = values
+            values = refined_values(predicate, annotated, solution, categorical_variables)
+            categorical[predicate.attribute] = values or predicate.values
         numerical = {
             (predicate.attribute, predicate.operator): refined_constant(
                 predicate, annotated, solution, constant_variables, indicator_variables

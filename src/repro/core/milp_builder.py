@@ -245,6 +245,33 @@ def build_numerical_predicate_variables(
         flush_rows(model, batch)
 
 
+def refined_values(
+    predicate,
+    annotated: AnnotatedDatabase,
+    solution: Solution,
+    categorical_variables: dict,
+) -> frozenset:
+    """The refined value set of a categorical predicate, read off a solution.
+
+    The ``~Q(D)`` domain values whose variable the solution sets, plus every
+    original value that no tuple of ``~Q(D)`` carries: keeping such a value
+    selects no tuple and only lowers the predicate distance, whose objective
+    counts it as kept.  Empty when the solution sets no domain value.
+
+    Shared by the Figure 1 builder and the Erica baseline.
+    """
+    attribute = predicate.attribute
+    domain = annotated.categorical_domains[attribute]
+    selected = frozenset(
+        value
+        for value in domain
+        if solution.value(categorical_variables[(attribute, value)]) > 0.5
+    )
+    if not selected:
+        return selected
+    return selected | predicate.values.difference(domain)
+
+
 def refined_constant(
     predicate,
     annotated: AnnotatedDatabase,
@@ -810,12 +837,8 @@ class MILPBuilder:
     def _extract_refinement(self, solution: Solution) -> Refinement:
         categorical: dict[str, frozenset] = {}
         for predicate in self.query.categorical_predicates:
-            domain = self.annotated.categorical_domains[predicate.attribute]
-            selected = frozenset(
-                value
-                for value in domain
-                if solution.value(self._categorical_variables[(predicate.attribute, value)])
-                > 0.5
+            selected = refined_values(
+                predicate, self.annotated, solution, self._categorical_variables
             )
             if not selected:
                 # A refinement that selects no value of a categorical predicate

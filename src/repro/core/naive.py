@@ -3,7 +3,11 @@
 ``Naive`` enumerates candidate refinements and re-evaluates each refined query
 on the database.  ``Naive+prov`` enumerates the same space but evaluates each
 candidate on the annotated ``~Q(D)`` instead, avoiding the DBMS round-trip —
-the same provenance trick the MILP uses, applied to brute-force search.
+the same provenance trick the MILP uses, applied to brute-force search.  Its
+candidates are position sets over the column store of ``~Q(D)``, composed
+from precomputed per-atom masks; a candidate whose columns the mask index
+cannot resolve is evaluated on the executor, as ``Naive`` evaluates every
+candidate.
 
 Both support a wall-clock timeout, mirroring the 1-hour timeout in the paper's
 experiments (the refinement space of the Astronauts query has ~2^114 members,
@@ -315,11 +319,12 @@ class MaskIndexData:
 
     @classmethod
     def build(cls, query: SPJQuery, base: Relation) -> "MaskIndexData | None":
-        if not columnar.vectorization_enabled():
-            return None
+        """The index over the columns of ``base``.
+
+        ``None`` when a predicate or DISTINCT column has no float or code
+        view to index.
+        """
         store = base.column_store()
-        if store is None:
-            return None
         numeric_index: dict[str, tuple] = {}
         for predicate in query.numerical_predicates:
             values = store.numeric(predicate.attribute)
@@ -635,21 +640,16 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
     ) -> None:
         super().__init__(*args, **kwargs)
         self._mask_data = mask_data
-        self._annotated: AnnotatedDatabase | None = None
-        self._schema = None
         self._base: Relation | None = None
         self._fast: _CandidateMaskIndex | None = None
         self._group_masks: dict | None = None
         self._positions = None
 
     def _prepare(self, annotated: AnnotatedDatabase) -> None:
-        self._annotated = annotated
         # The rank-ordered ~Q(D) is needed to materialise candidate outputs;
         # compute it once here (the executor caches the join and sort) and
         # derive the per-atom mask index from its columns.
-        unfiltered = self._executor.evaluate_unfiltered(self.query)
-        self._base = unfiltered.relation
-        self._schema = unfiltered.relation.schema
+        self._base = self._executor.evaluate_unfiltered(self.query).relation
         # The per-sweep caches stay private to this search; only the
         # immutable MaskIndexData half is shareable (and a warm session
         # passes its cached copy in).
@@ -660,15 +660,14 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         if self._fast is not None and self._space is not None:
             self._fast.prepare_sweep(self.query, self._space)
         store = self._base.column_store()
-        if store is not None:
-            # Warm the factorizations the per-candidate deviation counts
-            # read, so lazily-gathered top-k slices inherit them instead of
-            # re-factorizing per candidate.
-            for constraint in self.constraints:
-                for attribute in constraint.group.attributes:
-                    if attribute in self._base.schema:
-                        store.codes(attribute)
-            self._group_masks = self._build_group_masks(store)
+        # Warm the factorizations the per-candidate deviation counts read, so
+        # lazily-gathered top-k slices inherit them instead of re-factorizing
+        # per candidate.
+        for constraint in self.constraints:
+            for attribute in constraint.group.attributes:
+                if attribute in self._base.schema:
+                    store.codes(attribute)
+        self._group_masks = self._build_group_masks(store)
 
     def _build_group_masks(self, store) -> dict | None:
         """One boolean membership mask over ``~Q(D)`` per constraint group.
@@ -725,7 +724,7 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         reduces to a position set plus a few mask counts, so neither the
         refined :class:`SPJQuery` nor a result relation is ever built.  Any
         missing ingredient falls back to the generic path (which the parity
-        suite holds byte-identical to this one).
+        suite holds to the sqlite backend's answers).
         """
         if (
             self._fast is None
@@ -749,56 +748,17 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
 
         A tuple is selected when every predicate of the refined query accepts
         its value; DISTINCT de-duplication keeps the better-ranked tuple.  The
-        tuples of ``~Q(D)`` are already in rank order, so the selected tuples
-        are too.  The columnar fast path composes precomputed per-atom masks;
-        the row-based reference below remains for parity testing (under
-        :func:`repro.relational.columnar.rowwise_fallback`) and for columns
-        the mask index cannot resolve.
+        tuples of ``~Q(D)`` are already in rank order, so the selected
+        positions are too.  When the mask index cannot resolve a column the
+        candidate is evaluated on the executor, as :class:`NaiveSearch` does.
         """
-        self._positions = None
-        if self._fast is not None:
-            positions = self._fast.selected_positions(refined_query)
-            if positions is not None:
-                self._positions = positions
-                relation = self._base.take(positions).rename(refined_query.name)
-                projected = (
-                    relation.project(list(refined_query.select))
-                    if refined_query.select
-                    else relation
-                )
-                return RankedResult(
-                    query=refined_query, relation=relation, projected=projected
-                )
-        return self._evaluate_rowwise(refinement, refined_query)
-
-    def _evaluate_rowwise(
-        self, refinement: Refinement, refined_query: SPJQuery
-    ) -> RankedResult:
-        """Row-at-a-time reference evaluation over the annotated tuples."""
-        assert self._annotated is not None
-        numerical = list(refined_query.numerical_predicates)
-        categorical = list(refined_query.categorical_predicates)
-
-        selected_rows = []
-        seen_distinct: set[tuple[object, ...]] = set()
-        for annotated_tuple in self._annotated.tuples:
-            values = annotated_tuple.values
-            if not all(predicate.matches(values) for predicate in numerical):
-                continue
-            if not all(predicate.matches(values) for predicate in categorical):
-                continue
-            if annotated_tuple.distinct_key is not None:
-                if annotated_tuple.distinct_key in seen_distinct:
-                    continue
-                seen_distinct.add(annotated_tuple.distinct_key)
-            selected_rows.append(values)
-
-        schema = self._schema
-        relation = Relation(
-            refined_query.name,
-            schema,
-            [tuple(values[name] for name in schema.names) for values in selected_rows],
+        positions = (
+            None if self._fast is None else self._fast.selected_positions(refined_query)
         )
+        self._positions = positions
+        if positions is None:
+            return self._executor.evaluate(refined_query)
+        relation = self._base.take(positions).rename(refined_query.name)
         projected = (
             relation.project(list(refined_query.select))
             if refined_query.select

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.constraints import ConstraintSet
 from repro.core.deadline import current_deadline
 from repro.core.distances import DistanceMeasure, PredicateDistance, get_distance
-from repro.core.lazy_generation import run_cut_loop
+from repro.core.lazy_generation import _MIN_SOLVE_LIMIT, run_cut_loop
 from repro.core.milp_builder import BuildArtifacts, MILPBuilder
 from repro.core.optimizations import BuilderOptions, apply_relevancy_pruning
 from repro.core.refinement import Refinement
@@ -208,7 +208,7 @@ class RefinementSolver:
                 solution, cut_statistics = self._solve_cut_loop(artifacts)
             else:
                 solution = artifacts.model.solve(
-                    self.backend, time_limit=self.time_limit
+                    self.backend, time_limit=self._eager_time_limit()
                 )
                 cut_statistics = {}
             full_lowerings = artifacts.model.full_lowerings
@@ -228,6 +228,18 @@ class RefinementSolver:
         return result
 
     # -- internals -------------------------------------------------------------------
+
+    def _eager_time_limit(self) -> float | None:
+        """``time_limit`` clamped by what the ambient deadline has left.
+
+        Read under the prepared problem's solve lock, so a solve that queued
+        behind another one does not get back the time it spent waiting.
+        Floored as the cut loop floors each round's limit.
+        """
+        deadline = current_deadline()
+        if deadline is None:
+            return self.time_limit
+        return max(deadline.clamp(self.time_limit), _MIN_SOLVE_LIMIT)
 
     def _solve_cut_loop(self, artifacts: BuildArtifacts) -> tuple[Solution, dict]:
         """Drive the cutting-plane loop over the artifacts' lazy pools.

@@ -378,7 +378,7 @@ def annotate_result(
             values = sorted(
                 {float(combo[offset]) for combo in scan if combo[offset] is not None}
             )
-        if values is None and store is not None:
+        if values is None:
             view = store.numeric(predicate.attribute)
             if view is not None:
                 values = np.unique(view[~np.isnan(view)]).tolist()

@@ -1,15 +1,16 @@
 """A relational engine for conjunctive SPJ queries with ranking.
 
 The paper evaluates refinements over a DBMS (DuckDB).  This subpackage is the
-stand-in substrate: schemas, dual-representation relations (row tuples and a
-NumPy column store, converted lazily), selection predicates, and
-Select-Project-Join queries with ``ORDER BY`` and ``DISTINCT``.
+stand-in substrate: schemas, relations (a NumPy column store every operator
+runs on, with row tuples as input and as a lazily built view), selection
+predicates, and Select-Project-Join queries with ``ORDER BY`` and
+``DISTINCT``.
 
 Queries run through :class:`QueryExecutor`, which offers two byte-identical
-execution backends: the in-memory engine (vectorized, with a row-at-a-time
-reference path) and a sqlite pushdown backend that evaluates
-selection, ordering and DISTINCT inside sqlite and only gathers result row
-coordinates back into Python.  Select a backend per executor
+execution backends: the in-memory columnar engine and a sqlite pushdown
+backend that evaluates selection, ordering and DISTINCT inside sqlite and
+only gathers result row coordinates back into Python.  The parity tests hold
+the columnar engine to the sqlite backend.  Select a backend per executor
 (``QueryExecutor(db, backend="sqlite")``) or process-wide via the
 ``REPRO_EXECUTOR_BACKEND`` environment variable.
 """

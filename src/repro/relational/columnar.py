@@ -22,15 +22,13 @@ This is what makes the exhaustive baselines cheap — a candidate refinement's
 result is a coordinate set over the shared ``~Q(D)`` store, and only the
 handful of columns its constraint counts actually touch are ever gathered.
 
-:func:`rowwise_fallback` disables vectorization for its duration: callers then
-take the original row-at-a-time code paths, which the parity tests hold the
-columnar engine to.
+This is the memory backend's only engine; the parity tests hold it to the
+sqlite pushdown backend.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,30 +39,6 @@ from repro.relational.predicates import (
     Operator,
 )
 from repro.relational.schema import Schema
-
-_VECTORIZATION_ENABLED = True
-
-
-def vectorization_enabled() -> bool:
-    """Whether the columnar fast paths should be used."""
-    return _VECTORIZATION_ENABLED
-
-
-@contextmanager
-def rowwise_fallback() -> Iterator[None]:
-    """Temporarily force every relational operator onto the row-based path.
-
-    Used by the parity test suite to compare the vectorized engine against the
-    reference implementation on identical inputs.
-    """
-    global _VECTORIZATION_ENABLED
-    previous = _VECTORIZATION_ENABLED
-    _VECTORIZATION_ENABLED = False
-    try:
-        yield
-    finally:
-        _VECTORIZATION_ENABLED = previous
-
 
 def _compose_coordinates(base, indices, parent_length: int):
     """Row coordinates equivalent to applying ``base`` then ``indices``.
@@ -338,13 +312,13 @@ class ColumnStore:
     def first_occurrence(self, names: Sequence[str]):
         """Positions of the first row for each distinct key, in row order.
 
-        ``None`` when any key column cannot be factorized.
+        Raises ``TypeError`` when a key column holds an unhashable value.
         """
         columns = []
         for name in names:
             factorized = self.codes(name)
             if factorized is None:
-                return None
+                raise TypeError(f"column {name!r} holds an unhashable value")
             columns.append(factorized[0])
         if not columns:
             return np.arange(min(self.length, 1))
@@ -396,9 +370,4 @@ def combined_codes(store: ColumnStore, names: Sequence[str]):
     return combined
 
 
-__all__ = [
-    "ColumnStore",
-    "combined_codes",
-    "rowwise_fallback",
-    "vectorization_enabled",
-]
+__all__ = ["ColumnStore", "combined_codes"]

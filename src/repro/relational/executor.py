@@ -3,8 +3,7 @@
 Two execution backends sit behind :class:`QueryExecutor`:
 
 ``memory`` (default)
-    The in-memory engine — columnar/vectorized, row-at-a-time under
-    :func:`~repro.relational.columnar.rowwise_fallback` — with
+    The in-memory columnar engine (:mod:`repro.relational.columnar`), with
     per-query-shape join and ordered-join caches.
 
 ``sqlite``
@@ -291,9 +290,8 @@ class QueryExecutor:
             # before deriving the selection, so it inherits sliced views
             # instead of re-running the per-row factorization per candidate.
             parent_store = ordered_join.column_store()
-            if parent_store is not None:
-                for name in query.select:
-                    parent_store.codes(name)
+            for name in query.select:
+                parent_store.codes(name)
         selected = ordered_join.select(query.where)
         if query.distinct and query.select:
             selected = self._deduplicate(selected, query.select)
@@ -365,8 +363,8 @@ class QueryExecutor:
         """Assemble the full-width result from per-table row coordinates.
 
         Values are taken from the original relations (the same Python
-        objects the in-memory engines return), one fancy-indexed gather per
-        output column on the columnar path.
+        objects the memory backend returns), one fancy-indexed gather per
+        output column.
         """
         tables = query.tables
         name = "*".join(tables)
@@ -376,33 +374,16 @@ class QueryExecutor:
             for attribute in relation.schema.names:
                 source.setdefault(attribute, position)
         count = len(coordinates)
-
         stores = [relation.column_store() for relation in relations]
-        if all(store is not None for store in stores):
-            rid_arrays = [
-                np.fromiter(
-                    (row[i] for row in coordinates), dtype=np.int64, count=count
-                )
-                for i in range(len(tables))
-            ]
-            arrays = [
-                stores[source[attribute]].array(attribute)[rid_arrays[source[attribute]]]
-                for attribute in joined_schema.names
-            ]
-            return Relation.from_store(
-                name, ColumnStore(joined_schema, arrays, count)
-            )
-
-        table_rows = [relation.rows for relation in relations]
-        specs = [
-            (source[attribute], relations[source[attribute]].schema.index_of(attribute))
+        rid_arrays = [
+            np.fromiter((row[i] for row in coordinates), dtype=np.int64, count=count)
+            for i in range(len(tables))
+        ]
+        arrays = [
+            stores[source[attribute]].array(attribute)[rid_arrays[source[attribute]]]
             for attribute in joined_schema.names
         ]
-        rows = [
-            tuple(table_rows[table][row[table]][column] for table, column in specs)
-            for row in coordinates
-        ]
-        return Relation(name, joined_schema, rows)
+        return Relation.from_store(name, ColumnStore(joined_schema, arrays, count))
 
     # -- helpers -------------------------------------------------------------------
 
@@ -439,21 +420,7 @@ class QueryExecutor:
     @staticmethod
     def _deduplicate(ordered: Relation, select: Sequence[str]) -> Relation:
         """Keep only the best-ranked row for each combination of DISTINCT values."""
-        store = ordered.column_store()
-        if store is not None:
-            first = store.first_occurrence(list(select))
-            if first is not None:
-                return ordered.take(first)
-        indices = [ordered.schema.index_of(name) for name in select]
-        seen: set[tuple[object, ...]] = set()
-        kept = []
-        for row in ordered.rows:
-            key = tuple(row[i] for i in indices)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(row)
-        return Relation(ordered.name, ordered.schema, kept)
+        return ordered.take(ordered.column_store().first_occurrence(list(select)))
 
     @staticmethod
     def _validate(query: SPJQuery, schema: Schema) -> None:

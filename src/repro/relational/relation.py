@@ -1,26 +1,27 @@
 """The :class:`Relation` container: a schema plus an ordered bag of rows.
 
-Relations have a dual representation.  They can be constructed from row
-tuples (the original API, used by the dataset generators and tests) or from a
-:class:`~repro.relational.columnar.ColumnStore`; either side is materialised
-lazily from the other.  Every relational operator runs on the columnar
-representation — selection as boolean masks, ordering as a stable
-``argsort``, joins as hash joins over key-column views with fancy-indexed
-gathers, derived-column/concat/callable operators over column iterators — and
-on the original row-at-a-time implementation under
-:func:`repro.relational.columnar.rowwise_fallback`.
+A relation's data lives in a :class:`~repro.relational.columnar.ColumnStore`,
+and every relational operator runs on it — selection as boolean masks,
+ordering as a stable ``argsort``, joins as hash joins over key-column views
+with fancy-indexed gathers — and returns a store-backed relation.  Row tuples
+are an input (the dataset generators and tests build relations from them)
+and a cached view (``rows``, iteration and indexing materialise them on first
+use).
 
-Dual-representation invariants:
+Invariants:
 
 * At least one of ``_rows`` / ``_store`` is always populated; whichever side
   is missing is derived on first use and cached (``_materialized()`` /
   ``_columns()``).  Conversion never loses information — object-dtype columns
   round-trip the same Python objects.
 * Both representations are immutable once attached: operators return new
-  relations, and the row order is the single source of ranking truth in both.
-* Every operator must produce identical rows, row order, and value *types* on
-  either representation; ``tests/relational/test_columnar_parity.py`` holds
-  the engines to byte-identical output on every registered dataset.
+  relations, and the row order is the single source of ranking truth.
+* Operators whose condition has no columnar form (a callable selection, an
+  ordering attribute without a float view) compute row positions in Python
+  and ``take`` them from the same store.
+* ``tests/relational/test_columnar_parity.py`` holds the engine to the sqlite
+  pushdown backend: identical rows, row order and value *types* on every
+  registered dataset.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.exceptions import SchemaError
-from repro.relational import columnar
 from repro.relational.columnar import ColumnStore
 from repro.relational.predicates import Conjunction
 from repro.relational.schema import Attribute, AttributeKind, Schema
@@ -108,16 +108,14 @@ class Relation:
             self._rows = self._store.to_rows()
         return self._rows
 
-    def _columns(self) -> ColumnStore | None:
-        """The column store when the vectorized engine should be used."""
-        if not columnar.vectorization_enabled():
-            return None
+    def _columns(self) -> ColumnStore:
+        """The column store, converting from rows on first use."""
         if self._store is None:
             self._store = ColumnStore.from_rows(self.schema, self._rows)
         return self._store
 
-    def column_store(self) -> ColumnStore | None:
-        """Public accessor for the columnar representation (or ``None``)."""
+    def column_store(self) -> ColumnStore:
+        """Public accessor for the columnar representation."""
         return self._columns()
 
     # -- basic accessors --------------------------------------------------------
@@ -195,95 +193,46 @@ class Relation:
                 # unfiltered ~Q evaluations can share this one instead of
                 # gathering a full copy.
                 return self
-            store = self._columns()
-            if store is not None:
-                mask = store.mask(condition)
-                if mask is not None:
-                    return Relation.from_store(
-                        self.name, store.take(np.flatnonzero(mask))
-                    )
+            mask = self._columns().mask(condition)
+            if mask is not None:
+                return self.take(np.flatnonzero(mask))
             predicate = condition.matches
         else:
             predicate = condition
-        store = self._columns()
-        if store is not None:
-            # Callable (or mask-incompatible) conditions still evaluate row by
-            # row, but the result stays columnar: a coordinate take over the
-            # shared store instead of a fresh row relation.
-            kept = [
-                position
-                for position, values in enumerate(self.iter_dicts())
-                if predicate(values)
-            ]
-            return Relation.from_store(
-                self.name, store.take(np.asarray(kept, dtype=np.int64))
-            )
-        names = self.schema.names
+        # Callable (or mask-incompatible) conditions evaluate row by row; the
+        # result is still a coordinate take over the shared store.
         kept = [
-            row
-            for row in self._materialized()
-            if predicate(dict(zip(names, row)))
+            position
+            for position, values in enumerate(self.iter_dicts())
+            if predicate(values)
         ]
-        return Relation(self.name, self.schema, kept)
+        return self.take(np.asarray(kept, dtype=np.int64))
 
     def take(self, positions) -> "Relation":
         """Rows at the given positions, in the given order."""
-        store = self._columns()
-        if store is not None:
-            return Relation.from_store(self.name, store.take(positions))
-        rows = self._materialized()
-        return Relation(self.name, self.schema, [rows[p] for p in positions])
+        return Relation.from_store(self.name, self._columns().take(positions))
 
     def project(self, attributes: Sequence[str], distinct: bool = False) -> "Relation":
-        """Project onto ``attributes``; optionally de-duplicate keeping first."""
-        store = self._columns()
-        if store is not None:
-            projected = store.project(attributes)
-            if distinct:
-                first = projected.first_occurrence(attributes)
-                if first is None:
-                    return self._project_rows(attributes, distinct)
-                projected = projected.take(first)
-            return Relation.from_store(self.name, projected)
-        return self._project_rows(attributes, distinct)
+        """Project onto ``attributes``; optionally de-duplicate keeping first.
 
-    def _project_rows(self, attributes: Sequence[str], distinct: bool) -> "Relation":
-        indices = [self.schema.index_of(attribute) for attribute in attributes]
-        projected_schema = self.schema.project(attributes)
-        rows = [tuple(row[i] for i in indices) for row in self._materialized()]
+        DISTINCT raises ``TypeError`` on an unhashable value, as a Python
+        set of the projected rows would.
+        """
+        projected = self._columns().project(attributes)
         if distinct:
-            seen: set[tuple[object, ...]] = set()
-            unique: list[tuple[object, ...]] = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
-        return Relation(self.name, projected_schema, rows)
+            projected = projected.take(projected.first_occurrence(attributes))
+        return Relation.from_store(self.name, projected)
 
     def natural_join(self, other: "Relation") -> "Relation":
         """Natural join on all shared attribute names (hash join).
 
-        On the columnar path the hash table is keyed on views of the shared
-        key columns and the output is gathered with fancy indexing, so full
-        result rows are never materialised as tuples.
+        The hash table is keyed on the shared key columns and the output is
+        gathered with fancy indexing, so full result rows are never
+        materialised as tuples.
         """
         joined_schema = self.schema.join(other.schema)
         left_store = self._columns()
-        right_store = other._columns() if left_store is not None else None
-        if left_store is not None and right_store is not None:
-            return self._natural_join_columnar(
-                other, joined_schema, left_store, right_store
-            )
-        return self._natural_join_rows(other, joined_schema)
-
-    def _natural_join_columnar(
-        self,
-        other: "Relation",
-        joined_schema: Schema,
-        left_store: ColumnStore,
-        right_store: ColumnStore,
-    ) -> "Relation":
+        right_store = other._columns()
         shared = self.schema.common_attributes(other.schema)
         right_extra = [
             attribute.name
@@ -317,82 +266,41 @@ class Relation:
         store = ColumnStore(joined_schema, arrays, int(left_idx.shape[0]))
         return Relation.from_store(f"{self.name}*{other.name}", store)
 
-    def _natural_join_rows(self, other: "Relation", joined_schema: Schema) -> "Relation":
-        shared = self.schema.common_attributes(other.schema)
-        left_rows = self._materialized()
-        right_rows = other._materialized()
-        if not shared:
-            rows = [left + right for left in left_rows for right in right_rows]
-            return Relation(f"{self.name}*{other.name}", joined_schema, rows)
-
-        left_key = [self.schema.index_of(name) for name in shared]
-        right_key = [other.schema.index_of(name) for name in shared]
-        right_extra = [
-            other.schema.index_of(attribute.name)
-            for attribute in other.schema
-            if attribute.name not in self.schema
-        ]
-
-        buckets: dict[tuple[object, ...], list[tuple[object, ...]]] = {}
-        for row in right_rows:
-            key = tuple(row[i] for i in right_key)
-            buckets.setdefault(key, []).append(row)
-
-        rows = []
-        for row in left_rows:
-            key = tuple(row[i] for i in left_key)
-            for match in buckets.get(key, ()):
-                rows.append(row + tuple(match[i] for i in right_extra))
-        return Relation(f"{self.name}*{other.name}", joined_schema, rows)
-
     def order_by(self, attribute: str, descending: bool = True) -> "Relation":
         """Stable sort by ``attribute`` (ties keep their current order).
 
         ``None`` values sort last in both directions, preserving their
         relative order, instead of raising ``TypeError``.
         """
-        store = self._columns()
-        # The float view would sort float-parseable *strings* numerically,
-        # diverging from the row path's lexicographic order — so the columnar
-        # sort is only used for attributes declared numerical.
-        if (
-            store is not None
-            and attribute in self.schema
-            and self.schema.attribute(attribute).is_numerical
-        ):
-            order = store.argsort_by(attribute, descending)
+        # The float view would sort float-parseable *strings* numerically, so
+        # the argsort is only used for attributes declared numerical; other
+        # columns sort their Python values.
+        if attribute in self.schema and self.schema.attribute(attribute).is_numerical:
+            order = self._columns().argsort_by(attribute, descending)
             if order is not None:
-                return Relation.from_store(self.name, store.take(order))
-        index = self.schema.index_of(attribute)
-        rows = self._materialized()
-        non_null = [row for row in rows if row[index] is not None]
-        nulls = [row for row in rows if row[index] is None]
-        ordered = sorted(non_null, key=lambda row: row[index], reverse=descending)
-        return Relation(self.name, self.schema, ordered + nulls)
+                return self.take(order)
+        values = self.column(attribute)
+        non_null = [position for position, value in enumerate(values) if value is not None]
+        nulls = [position for position, value in enumerate(values) if value is None]
+        ordered = sorted(non_null, key=values.__getitem__, reverse=descending)
+        return self.take(np.asarray(ordered + nulls, dtype=np.int64))
 
     def head(self, k: int) -> "Relation":
         """The first ``k`` rows (the top-k of a ranked relation)."""
-        store = self._columns()
-        if store is not None:
-            return Relation.from_store(self.name, store.head(k))
-        return Relation(self.name, self.schema, self._materialized()[:k])
+        return Relation.from_store(self.name, self._columns().head(k))
 
     def concat(self, other: "Relation") -> "Relation":
         """Append the rows of ``other`` (schemas must match)."""
         if self.schema != other.schema:
             raise SchemaError("cannot concatenate relations with different schemas")
-        left = self._columns()
-        right = other._columns() if left is not None else None
-        if left is not None and right is not None:
-            return Relation.from_store(self.name, left.concatenated(right))
-        return Relation(
-            self.name, self.schema, self._materialized() + other._materialized()
+        return Relation.from_store(
+            self.name, self._columns().concatenated(other._columns())
         )
 
     def rename(self, name: str) -> "Relation":
-        if self._rows is None:
-            return Relation.from_store(name, self._store)
-        return Relation(name, self.schema, self._rows)
+        renamed = Relation.from_store(name, self._columns())
+        renamed._rows = self._rows
+        return renamed
 
     def with_column(
         self,
@@ -402,18 +310,11 @@ class Relation:
         """Add a derived column computed from each row (e.g. MEPS utilization)."""
         if attribute.name in self.schema:
             raise SchemaError(f"attribute {attribute.name!r} already exists")
-        names = self.schema.names
         new_schema = Schema(list(self.schema.attributes) + [attribute])
-        store = self._columns()
-        if store is not None:
-            computed = [compute(values) for values in self.iter_dicts()]
-            return Relation.from_store(
-                self.name, store.with_column(new_schema, computed)
-            )
-        rows = [
-            row + (compute(dict(zip(names, row))),) for row in self._materialized()
-        ]
-        return Relation(self.name, new_schema, rows)
+        computed = [compute(values) for values in self.iter_dicts()]
+        return Relation.from_store(
+            self.name, self._columns().with_column(new_schema, computed)
+        )
 
     # -- statistics ----------------------------------------------------------------
 
@@ -427,11 +328,8 @@ class Relation:
         This is the vectorized membership count behind cardinality-constraint
         evaluation; missing attributes read as ``None`` (row semantics).
         """
-        store = self._columns()
-        if store is not None and all(
-            attribute in self.schema for attribute in conditions
-        ):
-            fast = store.count_conditions(conditions)
+        if all(attribute in self.schema for attribute in conditions):
+            fast = self._columns().count_conditions(conditions)
             if fast is not None:
                 return fast
         return self.count_where(

@@ -42,6 +42,7 @@ from repro.core.deadline import Deadline, current_deadline, deadline_scope
 from repro.core.solver import RefinementSolver
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.exceptions import InfeasibleError, RefinementError, SolverError
+from repro.milp.solution import SolveStatus
 from repro.relational.sqlgen import render_sql
 from repro.service.coalesce import RequestCoalescer
 from repro.service.session import DatasetSession, SessionPool
@@ -566,12 +567,19 @@ class RefinementEngine:
         )
         prepared = session.prepared_milp(request.milp_key(), solver.prepare)
         result = solver.solve(prepared=prepared)
+        if result.feasible:
+            status = "ok"
+        elif result.solution_status == SolveStatus.TIME_LIMIT.value:
+            # Out of time before any incumbent: nothing is proven infeasible.
+            status = "timeout"
+        else:
+            status = "infeasible"
         response = RefineResponse(
             request=request,
             engine="milp",
             method=result.method,
             distance_code=result.distance_code,
-            status="ok" if result.feasible else "infeasible",
+            status=status,
             feasible=result.feasible,
             statistics=dict(result.model_statistics),
             timings={

@@ -205,3 +205,50 @@ class TestOptimizations:
                     assert solution.is_optimal
                     objectives.append(solution.objective_value)
         assert max(objectives) - min(objectives) < 1e-6
+
+
+class TestAbsentCategoricalValues:
+    """An original predicate value that no tuple of ``~Q(D)`` carries.
+
+    On this synthesized TPC-H copy no tuple has ``Region='ASIA'``, the
+    query's only value.  Keeping it selects nothing and halves the predicate
+    distance, so every engine must answer ``Region IN ('AFRICA','ASIA')`` at
+    distance 0.5, as the exhaustive search does.
+    """
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        from repro.datasets import load_dataset, scale_database
+
+        bundle = load_dataset("tpch", scale_factor=0.005)
+        database = scale_database(bundle.database, 1.0, seed=1)
+        constraints = ConstraintSet([at_least(1, 3, MktSegment="AUTOMOBILE")])
+        return database, bundle.query, constraints
+
+    def test_no_tuple_carries_the_original_value(self, instance):
+        database, query, _ = instance
+        relation = QueryExecutor(database).evaluate_unfiltered(query).relation
+        assert relation.domain("Region") == ["AFRICA"]
+
+    @pytest.mark.parametrize("method", ["milp", "milp+opt"])
+    def test_milp_keeps_the_absent_value(self, instance, method):
+        from repro.core import RefinementSolver
+
+        database, query, constraints = instance
+        result = RefinementSolver(
+            database, query, constraints, epsilon=0.0, distance="pred", method=method
+        ).solve()
+        assert result.feasible
+        assert result.refinement.categorical["Region"] == {"AFRICA", "ASIA"}
+        assert result.objective_value == pytest.approx(0.5)
+        assert result.distance_value == pytest.approx(0.5)
+
+    def test_erica_keeps_the_absent_value(self, instance):
+        from repro.core import EricaBaseline
+
+        database, query, constraints = instance
+        size = len(QueryExecutor(database).evaluate_unfiltered(query))
+        result = EricaBaseline(database, query, constraints, output_size=size).solve()
+        assert result.feasible
+        assert result.best.refinement.categorical["Region"] == {"AFRICA", "ASIA"}
+        assert result.best.distance_value == pytest.approx(0.5)

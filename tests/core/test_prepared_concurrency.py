@@ -10,15 +10,20 @@ solve's separation would find the violated rows no longer pending and accept
 a candidate the full program rejects.  The prepared problem's lock makes the
 solves take turns; these tests force the losing interleaving and check both
 answers against a serial solve.
+
+Taking turns spends time: a solve queued behind another must not hand its
+backend a time limit that ignores how much of its deadline the wait used.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
 from repro.core import ConstraintSet, RefinementSolver, at_least, lazy_generation
+from repro.core.deadline import Deadline, current_deadline, deadline_scope
 from repro.datasets import load_dataset
 from repro.milp.solvers import ScipySolver
 
@@ -105,3 +110,68 @@ def test_concurrent_solves_of_one_prepared_problem_match_the_serial_answer(
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert answers == [serial, serial]
+
+
+def test_queued_eager_solve_gets_only_what_its_deadline_has_left(monkeypatch):
+    # A huge floor lowers every rank/top-k row eagerly, so there is no cut
+    # loop to re-read the deadline between rounds.
+    monkeypatch.setattr(lazy_generation, "MIN_LAZY_POOL_ROWS", 2**62)
+    parameters, constraints = INSTANCES["students"]
+    bundle = load_dataset("students", **parameters)
+
+    def solver(time_limit=None) -> RefinementSolver:
+        return RefinementSolver(
+            bundle.database,
+            bundle.query,
+            ConstraintSet(constraints),
+            epsilon=0.0,
+            method="milp",
+            backend="scipy",
+            time_limit=time_limit,
+        )
+
+    prepared = solver().prepare()
+    assert not prepared.artifacts.lazy_pools
+
+    holding = threading.Event()
+    calls: dict[str, tuple] = {}
+    real_solve = ScipySolver.solve
+
+    def recording_solve(self, model, time_limit=None, **hints):
+        name = threading.current_thread().name
+        deadline = current_deadline()
+        remaining = None if deadline is None else deadline.remaining()
+        calls[name] = (time_limit, remaining)
+        if name == "A":
+            holding.set()
+            time.sleep(0.5)  # hold the prepared problem's lock
+        return real_solve(self, model, time_limit=time_limit, **hints)
+
+    monkeypatch.setattr(ScipySolver, "solve", recording_solve)
+
+    def run_a() -> None:
+        solver().solve(prepared=prepared)
+
+    def run_b() -> None:
+        holding.wait(timeout=_GATE_TIMEOUT_S)
+        with deadline_scope(Deadline.after(0.3)) as deadline:
+            # The serving layer clamps the limit to the deadline when it
+            # builds the solver, before the solve queues for the lock.
+            solver(time_limit=deadline.clamp(None)).solve(prepared=prepared)
+
+    threads = [
+        threading.Thread(target=run_a, name="A"),
+        threading.Thread(target=run_b, name="B"),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+
+    limit, remaining = calls["B"]
+    assert limit is not None and remaining is not None
+    # At most what is left (the wait spent the whole 0.3 s), floored as the
+    # cut loop floors each round; the slack covers the gap between reading
+    # the limit and entering the backend.
+    assert limit <= max(remaining, lazy_generation._MIN_SOLVE_LIMIT) + 0.05

@@ -22,7 +22,7 @@ from repro.relational import (
     Schema,
     SPJQuery,
 )
-from repro.relational.columnar import rowwise_fallback
+from repro.relational.query import OrderBy
 from repro.relational.schema import categorical, numerical
 
 
@@ -138,14 +138,15 @@ class TestNullOrdering:
         ordered = nullable_scores.order_by("score", descending=False)
         assert [row[0] for row in ordered] == ["a", "e", "c", "b", "d"]
 
-    def test_rowwise_fallback_agrees_on_null_ordering(self, nullable_scores):
-        fast = [row[0] for row in nullable_scores.order_by("score")]
-        with rowwise_fallback():
-            relation = Relation(
-                nullable_scores.name, nullable_scores.schema, nullable_scores.rows
-            )
-            slow = [row[0] for row in relation.order_by("score")]
-        assert fast == slow
+    @pytest.mark.parametrize("descending", [True, False])
+    def test_sqlite_backend_agrees_on_null_ordering(self, nullable_scores, descending):
+        database = Database([nullable_scores])
+        query = SPJQuery(
+            tables=["r"], where=(), order_by=OrderBy("score", descending), name="q"
+        )
+        memory = [row[0] for row in nullable_scores.order_by("score", descending)]
+        sqlite = QueryExecutor(database, backend="sqlite").evaluate(query)
+        assert [row[0] for row in sqlite.relation] == memory
 
     def test_ranked_result_scores_zeroes_nulls(self, nullable_scores):
         database = Database([nullable_scores])
@@ -164,25 +165,21 @@ class TestNullOrdering:
 
 class TestOrderingParityAndSelectIdentity:
     def test_float_parseable_strings_sort_lexicographically_on_both_engines(self):
-        schema = Schema([categorical("id")])
-        rows = [("1",), ("10",), ("2",)]
-        fast = [row[0] for row in Relation("r", schema, rows).order_by("id", descending=False)]
-        with rowwise_fallback():
-            slow = [row[0] for row in Relation("r", schema, rows).order_by("id", descending=False)]
-        assert fast == slow == ["1", "10", "2"]
+        relation = Relation("r", Schema([categorical("id")]), [("1",), ("10",), ("2",)])
+        query = SPJQuery(
+            tables=["r"], where=(), order_by=OrderBy("id", descending=False), name="q"
+        )
+        memory = [row[0] for row in relation.order_by("id", descending=False)]
+        sqlite = QueryExecutor(Database([relation]), backend="sqlite").evaluate(query)
+        assert memory == [row[0] for row in sqlite.relation] == ["1", "10", "2"]
 
     def test_empty_conjunction_select_returns_the_relation_itself(self, nullable_scores):
         assert nullable_scores.select(Conjunction()) is nullable_scores
 
     def test_zero_column_projection_preserves_row_count(self, nullable_scores):
-        fast = nullable_scores.project([]).head(2)
-        with rowwise_fallback():
-            relation = Relation(
-                nullable_scores.name, nullable_scores.schema, nullable_scores.rows
-            )
-            slow = relation.project([]).head(2)
-        assert len(fast) == len(slow) == 2
-        assert fast.rows == slow.rows == [(), ()]
+        projected = nullable_scores.project([]).head(2)
+        assert len(projected) == 2
+        assert projected.rows == [(), ()]
 
 
 class TestNullsThroughTheNaiveBaselines:
@@ -221,16 +218,21 @@ class TestNullsThroughTheNaiveBaselines:
 
         constraints = ConstraintSet([at_least(1, 3, grp="F")])
 
-        def run(cls):
-            return cls(self._database(), self._query(), constraints, epsilon=0.5).search()
+        def run(cls, backend):
+            return cls(
+                self._database(),
+                self._query(),
+                constraints,
+                epsilon=0.5,
+                executor_backend=backend,
+            ).search()
 
         for cls in (NaiveSearch, NaiveProvenanceSearch):
-            fast = run(cls)
-            with rowwise_fallback():
-                slow = run(cls)
-            assert fast.feasible and slow.feasible
-            assert fast.refinement == slow.refinement
-            assert fast.distance_value == slow.distance_value
+            memory = run(cls, "memory")
+            sqlite = run(cls, "sqlite")
+            assert memory.feasible and sqlite.feasible
+            assert memory.refinement == sqlite.refinement
+            assert memory.distance_value == sqlite.distance_value
 
 
 class TestMixedNumericDomain:
@@ -246,8 +248,6 @@ class TestMixedNumericDomain:
 
     def test_domain_is_engine_independent(self):
         schema = Schema([numerical("x")])
-        rows = [(3,), (1.25,), (2,), (1,), (2.5,)]
-        fast = Relation("r", schema, rows).domain("x")
-        with rowwise_fallback():
-            slow = Relation("r", schema, rows).domain("x")
-        assert fast == slow == [1, 1.25, 2, 2.5, 3]
+        relation = Relation("r", schema, [(3,), (1.25,), (2,), (1,), (2.5,)])
+        store_backed = Relation.from_store("r", relation.column_store())
+        assert relation.domain("x") == store_backed.domain("x") == [1, 1.25, 2, 2.5, 3]

@@ -1,20 +1,28 @@
-"""Parity suite: every execution engine must agree byte-for-byte.
+"""Parity suite: the columnar engine must answer as the sqlite backend does.
 
-Three engines answer the same SPJ queries — the row-based reference path,
-the vectorized columnar engine, and the sqlite pushdown backend — and this
-suite holds all of them to byte-identical :class:`RankedResult`\\ s (rows,
-order, projection, distinct keys, scores) on every registered dataset,
-including DISTINCT ranking queries.
+Two engines answer the same SPJ queries — the memory backend's columnar
+engine and the sqlite pushdown backend — and this suite holds the columnar
+engine to byte-identical :class:`RankedResult`\\ s (rows, order, value
+types, projection, distinct keys, scores) on every registered dataset and on
+synthesized copies of each, including DISTINCT ranking queries.  The
+``Naive+prov`` candidate evaluation is held to sqlite's answer for each
+refined query.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import ConstraintSet, NaiveProvenanceSearch, at_least
+from repro.core import (
+    ConstraintSet,
+    MaskIndexData,
+    NaiveProvenanceSearch,
+    NaiveSearch,
+    at_least,
+)
+from repro.datasets import scale_database
 from repro.datasets.registry import DATASET_BUILDERS, load_dataset
 from repro.relational import QueryExecutor, SPJQuery
-from repro.relational.columnar import rowwise_fallback, vectorization_enabled
 
 #: Reduced sizes so the whole registry can be evaluated twice per test run.
 _SMALL_PARAMETERS = {
@@ -41,26 +49,6 @@ def _identical(fast, slow):
     assert fast.scores() == slow.scores()
 
 
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_vectorized_executor_matches_rowwise(name):
-    bundle = _bundle(name)
-    assert vectorization_enabled()
-    fast = QueryExecutor(bundle.database).evaluate(bundle.query)
-    with rowwise_fallback():
-        assert not vectorization_enabled()
-        slow = QueryExecutor(bundle.database).evaluate(bundle.query)
-    _identical(fast, slow)
-
-
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_vectorized_unfiltered_evaluation_matches_rowwise(name):
-    bundle = _bundle(name)
-    fast = QueryExecutor(bundle.database).evaluate_unfiltered(bundle.query)
-    with rowwise_fallback():
-        slow = QueryExecutor(bundle.database).evaluate_unfiltered(bundle.query)
-    _identical(fast, slow)
-
-
 #: DISTINCT projections with plenty of duplicates, per dataset, so the
 #: "keep the better-ranked duplicate" semantics is exercised on every engine.
 _DISTINCT_SELECTS = {
@@ -83,39 +71,47 @@ def _distinct_variant(bundle) -> SPJQuery:
     )
 
 
+def _assert_backends_agree(database, queries):
+    for query in queries:
+        sqlite = QueryExecutor(database, backend="sqlite").evaluate(query)
+        memory = QueryExecutor(database, backend="memory").evaluate(query)
+        _identical(memory, sqlite)
+
+
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_sqlite_backend_matches_memory_engines(name):
-    """row == columnar == sqlite on the paper query and its unfiltered ~Q."""
+    """columnar == sqlite on the paper query and its unfiltered ~Q."""
     bundle = _bundle(name)
-    for query in (bundle.query, bundle.query.without_selection()):
-        sqlite = QueryExecutor(bundle.database, backend="sqlite").evaluate(query)
-        memory = QueryExecutor(bundle.database, backend="memory").evaluate(query)
-        _identical(sqlite, memory)
-        with rowwise_fallback():
-            rowwise = QueryExecutor(bundle.database, backend="memory").evaluate(query)
-        _identical(sqlite, rowwise)
+    _assert_backends_agree(
+        bundle.database, (bundle.query, bundle.query.without_selection())
+    )
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_sqlite_backend_matches_memory_engines_on_distinct_ranking(name):
-    """row == columnar == sqlite on a DISTINCT ranking projection."""
+    """columnar == sqlite on a DISTINCT ranking projection."""
     bundle = _bundle(name)
-    query = _distinct_variant(bundle)
-    sqlite = QueryExecutor(bundle.database, backend="sqlite").evaluate(query)
-    memory = QueryExecutor(bundle.database, backend="memory").evaluate(query)
-    _identical(sqlite, memory)
-    with rowwise_fallback():
-        rowwise = QueryExecutor(bundle.database, backend="memory").evaluate(query)
-        # The sqlite *gather* also has a row-based path; exercise it too.
-        sqlite_rowwise = QueryExecutor(bundle.database, backend="sqlite").evaluate(query)
-    _identical(sqlite, rowwise)
-    _identical(sqlite, sqlite_rowwise)
+    _assert_backends_agree(bundle.database, (_distinct_variant(bundle),))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_synthesized_copy_matches_sqlite(name, seed):
+    """columnar == sqlite on a synthesized copy: sampled values, float-typed
+    numerical columns and resampled join keys that no registered dataset has.
+    """
+    bundle = _bundle(name)
+    database = scale_database(bundle.database, 1.0, seed=seed)
+    _assert_backends_agree(
+        database,
+        (bundle.query, bundle.query.without_selection(), _distinct_variant(bundle)),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_candidate_mask_evaluation_matches_rowwise(name):
-    """The Naive+prov fast path and the row-based reference select the same
-    tuples for a sample of candidate refinements."""
+def test_candidate_mask_evaluation_matches_sqlite(name):
+    """The Naive+prov fast path selects the tuples sqlite returns for each of
+    a sample of candidate refinements."""
     bundle = _bundle(name)
     constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
     search = NaiveProvenanceSearch(
@@ -129,13 +125,13 @@ def test_candidate_mask_evaluation_matches_rowwise(name):
 
     annotated = annotate(bundle.query, bundle.database)
     space = RefinementSpace(bundle.query, annotated)
+    sqlite = QueryExecutor(bundle.database, backend="sqlite")
     for count, refinement in enumerate(space.enumerate()):
         if count >= 40:
             break
         refined_query = refinement.apply(bundle.query)
         fast = search._evaluate(refinement, refined_query)
-        slow = search._evaluate_rowwise(refinement, refined_query)
-        _identical(fast, slow)
+        _identical(fast, sqlite.evaluate(refined_query))
 
 
 def _any_group(bundle):
@@ -155,9 +151,9 @@ def _any_group(bundle):
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_sweep_positions_match_rowwise_evaluation(name):
+def test_sweep_positions_match_sqlite_evaluation(name):
     """The sweep's threshold tables and subset chains select exactly the rows
-    the row-at-a-time evaluation selects, candidate after candidate."""
+    sqlite returns for the refined query, candidate after candidate."""
     from repro.core.refinement import RefinementSpace
     from repro.provenance.lineage import annotate
 
@@ -171,13 +167,14 @@ def test_sweep_positions_match_rowwise_evaluation(name):
 
     annotated = annotate(bundle.query, bundle.database)
     space = RefinementSpace(bundle.query, annotated)
+    sqlite = QueryExecutor(bundle.database, backend="sqlite")
     for count, refinement in enumerate(space.enumerate()):
         if count >= 40:
             break
         refined_query = refinement.apply(bundle.query)
         fast = search._fast.selected_positions(refined_query)
-        slow = search._evaluate_rowwise(refinement, refined_query)
-        assert search._base.take(fast).rows == slow.relation.rows
+        expected = sqlite.evaluate(refined_query).relation.rows
+        assert search._base.take(fast).rows == expected
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
@@ -205,23 +202,33 @@ def test_jobs_axis_parity(name):
     assert sharded.exhausted == serial.exhausted
 
 
-def test_full_naive_prov_search_matches_rowwise_result():
-    """End-to-end: the fast search picks the same refinement as the row path."""
+def test_full_naive_prov_search_matches_sqlite_naive_result(monkeypatch):
+    """End-to-end: the fast search, and the search without a mask index
+    (each candidate then goes to the executor), pick the refinement that
+    Naive, evaluating every candidate on sqlite, picks."""
     bundle = _bundle("students")
     constraints = ConstraintSet(
         [at_least(3, 6, Gender="F"), at_least(1, 3, Income="High")]
     )
 
-    def run():
+    def naive_prov():
         return NaiveProvenanceSearch(
             bundle.database, bundle.query, constraints, max_candidates=400
         ).search()
 
-    fast = run()
-    with rowwise_fallback():
-        slow = run()
-    assert fast.feasible == slow.feasible
-    assert fast.candidates_examined == slow.candidates_examined
-    assert fast.refinement == slow.refinement
-    assert fast.distance_value == slow.distance_value
-    assert fast.deviation == slow.deviation
+    fast = naive_prov()
+    monkeypatch.setattr(MaskIndexData, "build", classmethod(lambda cls, query, base: None))
+    unindexed = naive_prov()
+    slow = NaiveSearch(
+        bundle.database,
+        bundle.query,
+        constraints,
+        max_candidates=400,
+        executor_backend="sqlite",
+    ).search()
+    for result in (fast, unindexed):
+        assert result.feasible == slow.feasible
+        assert result.candidates_examined == slow.candidates_examined
+        assert result.refinement == slow.refinement
+        assert result.distance_value == slow.distance_value
+        assert result.deviation == slow.deviation

@@ -182,31 +182,23 @@ class TestColumnarOperatorParity:
 
     @pytest.fixture
     def store_backed(self, people):
-        store = people.column_store()
-        if store is None:
-            pytest.skip("vectorized engine requires numpy")
-        return Relation.from_store("people", store)
+        return Relation.from_store("people", people.column_store())
 
     def test_with_column_matches_rowwise(self, people, store_backed):
-        from repro.relational.columnar import rowwise_fallback
-
         attribute = Attribute("senior", AttributeKind.CATEGORICAL)
         compute = lambda row: "yes" if row["age"] >= 30 else "no"
-        fast = store_backed.with_column(attribute, compute)
-        with rowwise_fallback():
-            slow = people.with_column(attribute, compute)
-        assert fast.rows == slow.rows
-        assert fast.schema == slow.schema
-        assert fast.column_store() is not None
+        derived = store_backed.with_column(attribute, compute)
+        assert derived.rows == [
+            row + (compute(people.row_as_dict(position)),)
+            for position, row in enumerate(people.rows)
+        ]
+        assert derived.schema == Schema(list(people.schema.attributes) + [attribute])
+        assert derived.column_store() is not None
 
     def test_concat_matches_rowwise(self, people, store_backed):
-        from repro.relational.columnar import rowwise_fallback
-
-        fast = store_backed.concat(store_backed)
-        with rowwise_fallback():
-            slow = people.concat(people)
-        assert fast.rows == slow.rows
-        assert fast.column_store() is not None
+        concatenated = store_backed.concat(store_backed)
+        assert concatenated.rows == people.rows + people.rows
+        assert concatenated.column_store() is not None
 
     def test_callable_select_stays_columnar(self, store_backed):
         selected = store_backed.select(lambda row: row["city"] == "paris")
@@ -214,12 +206,8 @@ class TestColumnarOperatorParity:
         assert selected.column_store() is not None
 
     def test_count_where_agrees_across_representations(self, people, store_backed):
-        from repro.relational.columnar import rowwise_fallback
-
         condition = lambda row: row["age"] < 30
-        with rowwise_fallback():
-            expected = people.count_where(condition)
-        assert store_backed.count_where(condition) == expected == 2
+        assert store_backed.count_where(condition) == people.count_where(condition) == 2
 
     def test_lazy_take_gathers_identical_rows(self, store_backed, people):
         taken = store_backed.take([2, 0])

@@ -10,6 +10,8 @@ from repro.cli import main
 from repro.core import ConstraintSet, NaiveSearch, RefinementSolver, at_least, at_most
 from repro.datasets import load_dataset
 from repro.exceptions import RefinementError
+from repro.milp.solution import Solution, SolveStatus
+from repro.milp.solvers import ScipySolver
 from repro.service import (
     ConstraintSpec,
     RefinementEngine,
@@ -165,6 +167,38 @@ class TestEngineParity:
         rebuilt = RefineResponse.from_dict(json.loads(response.to_json()))
         assert rebuilt.canonical_json() == response.canonical_json()
         assert rebuilt.timings == response.timings
+
+
+class TestMilpTimeout:
+    """A MILP solve that hits its time limit before any incumbent proves
+    nothing: the answer is ``timeout``, not ``infeasible``."""
+
+    @pytest.fixture
+    def timed_out_backend(self, monkeypatch):
+        def solve(self, model, time_limit=None, **hints):
+            return Solution(status=SolveStatus.TIME_LIMIT, solver_name="stub")
+
+        monkeypatch.setattr(ScipySolver, "solve", solve)
+
+    @pytest.mark.parametrize("method", ["milp", "milp+opt"])
+    def test_status_is_timeout(self, timed_out_backend, method):
+        response = RefinementEngine().refine(
+            students_request(method=method, backend="scipy")
+        )
+        assert response.status == "timeout"
+        assert response.feasible is False
+
+    def test_cli_prints_the_time_limit_note(self, timed_out_backend, capsys):
+        code = main(
+            [
+                "refine", "--dataset", "students", "--at-least", "3@6:Gender=F",
+                "--epsilon", "0", "--backend", "scipy",
+            ]
+        )
+        assert code == 1
+        output = capsys.readouterr().out
+        assert "time limit" in output
+        assert "No refinement" not in output
 
 
 class TestCliJson:

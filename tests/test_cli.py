@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main, parse_constraint
 from repro.core import BoundType
 
@@ -110,3 +115,36 @@ class TestCommands:
         )
         assert exit_code == 0
         assert "refined query:" in capsys.readouterr().out
+
+
+class TestMalformedSpecs:
+    """A malformed spec is a usage error, caught while arguments are parsed:
+    one ``error:`` line on stderr, the fatal exit code 2, no traceback — and
+    ``serve`` rejects it before binding its port."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["refine", "--dataset", "students", "--at-least", "banana"],
+            ["refine", "--dataset", "students", "--at-least", "3@6:Gender"],
+            ["inspect", "--dataset", "students", "--group", "banana"],
+            ["serve", "--port", "0", "--warm", "bogus"],
+            ["serve", "--port", "0", "--warm", "students:num_rows=abc"],
+        ],
+        ids=["at-least-banana", "at-least-no-value", "group-banana", "warm-bogus",
+             "warm-non-numeric"],
+    )
+    def test_exits_two_without_a_traceback(self, argv):
+        source = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        errors = [line for line in completed.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1
