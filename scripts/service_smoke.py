@@ -4,7 +4,9 @@
 Starts ``repro serve`` as a real subprocess, fires concurrent ``/refine``
 requests against two datasets, and diffs every server answer (canonical
 serialization, timings excluded) against a one-shot ``repro refine --json``
-subprocess for the same request.  Exits non-zero on any mismatch.
+subprocess for the same request.  Exits non-zero on any mismatch.  Both
+queries already meet their constraint at the default epsilon of 0.5 and are
+answered unsolved; the meps case at epsilon 0 takes the MILP path.
 
 Usage::
 
@@ -29,14 +31,23 @@ from repro.service.engine import RefineResponse  # noqa: E402
 
 CONCURRENCY = 6
 
-#: (dataset, CLI dataset arguments, wire-form dataset_parameters, constraint)
+#: (dataset, CLI dataset arguments, wire-form dataset_parameters, constraint,
+#: epsilon)
 CASES = [
-    ("students", [], {}, ("3@6:Gender=F", {"Gender": "F"}, 3, 6)),
+    ("students", [], {}, ("3@6:Gender=F", {"Gender": "F"}, 3, 6), 0.5),
     (
         "meps",
         ["--rows", "300"],
         {"num_rows": 300},
         ("5@10:Sex=F", {"Sex": "F"}, 5, 10),
+        0.5,
+    ),
+    (
+        "meps",
+        ["--rows", "300"],
+        {"num_rows": 300},
+        ("5@10:Sex=F", {"Sex": "F"}, 5, 10),
+        0.0,
     ),
 ]
 
@@ -81,10 +92,12 @@ def start_server() -> tuple[subprocess.Popen, str]:
     raise SystemExit("server never became healthy")
 
 
-def cli_canonical(dataset: str, dataset_arguments: list[str], constraint: str) -> str:
+def cli_canonical(
+    dataset: str, dataset_arguments: list[str], constraint: str, epsilon: float
+) -> str:
     completed = subprocess.run(
         [sys.executable, "-m", "repro", "refine", "--dataset", dataset,
-         *dataset_arguments, "--at-least", constraint,
+         *dataset_arguments, "--at-least", constraint, "--epsilon", str(epsilon),
          "--method", "milp+opt", "--jobs", "1", "--json"],
         capture_output=True,
         text=True,
@@ -111,14 +124,15 @@ def main() -> int:
     process, base_url = start_server()
     failures = 0
     try:
-        for dataset, cli_args, parameters, constraint in CASES:
+        for dataset, cli_args, parameters, constraint, epsilon in CASES:
             text, group, bound, k = constraint
-            expected = cli_canonical(dataset, cli_args, text)
+            expected = cli_canonical(dataset, cli_args, text, epsilon)
             payload = {
                 "dataset": dataset,
                 "constraints": [
                     {"kind": "at_least", "bound": bound, "k": k, "group": group}
                 ],
+                "epsilon": epsilon,
                 "method": "milp+opt",
                 "jobs": 1,
             }
@@ -133,7 +147,10 @@ def main() -> int:
                 )
             mismatches = sum(1 for answer in answers if answer != expected)
             verdict = "OK" if mismatches == 0 else f"MISMATCH x{mismatches}"
-            print(f"{dataset}: {CONCURRENCY} concurrent answers vs CLI -> {verdict}")
+            print(
+                f"{dataset} (epsilon={epsilon:g}): {CONCURRENCY} concurrent answers "
+                f"vs CLI -> {verdict}"
+            )
             failures += mismatches
         with urllib.request.urlopen(base_url + "/stats", timeout=30) as response:
             stats = json.loads(response.read())

@@ -44,6 +44,12 @@ LOCK_GUARDS: dict[str, GuardSpec] = {
         note="warm per-dataset state built lazily by concurrent requests; "
         "the prepared-MILP LRU reorders on every hit",
     ),
+    "PreparedProblem": GuardSpec(
+        lock="solve_lock",
+        attributes=("_proven",),
+        note="proven solves per backend: a repeat must see the first solve's "
+        "answer or wait for it, never start a second solve beside it",
+    ),
     "SessionPool": GuardSpec(
         lock="_lock",
         attributes=("_sessions",),

@@ -177,6 +177,14 @@ def _print_refine_response(response) -> int:
     """Render a :class:`RefineResponse` in the classic human-readable form."""
     infeasible_note = "No refinement within the requested maximum deviation exists."
     timings = response.timings
+    # The engine answers a MILP request with the original query, unsolved,
+    # when it fits.
+    as_is_note = None
+    if response.statistics.get("original_fits"):
+        as_is_note = (
+            "The original query already meets the constraints within "
+            f"epsilon={response.request.epsilon:g}, so no MILP was built."
+        )
     if response.engine == "exhaustive":
         stats = response.statistics
         print(
@@ -260,13 +268,16 @@ def _print_refine_response(response) -> int:
         f"deviation={response.deviation:.4g} "
         f"setup={timings['setup_seconds']:.3f}s solve={timings['solve_seconds']:.3f}s"
     )
+    if as_is_note is not None:
+        print(as_is_note)
     print("\nrefinement:", response.refinement)
     print("\nrefined query:")
     print(response.refined_sql)
     print("\nconstraint counts in the refined ranking:")
     for label, count in response.constraint_counts.items():
         print(f"  {label}: {count}")
-    print("\nmodel statistics:", response.statistics)
+    if as_is_note is None:
+        print("\nmodel statistics:", response.statistics)
     return 0
 
 

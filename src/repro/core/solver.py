@@ -15,7 +15,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
+from repro.analysis.debug_locks import guard_mapping
 from repro.core.constraints import ConstraintSet
 from repro.core.deadline import current_deadline
 from repro.core.distances import DistanceMeasure, PredicateDistance, get_distance
@@ -24,7 +26,7 @@ from repro.core.milp_builder import BuildArtifacts, MILPBuilder
 from repro.core.optimizations import BuilderOptions, apply_relevancy_pruning
 from repro.core.refinement import Refinement
 from repro.exceptions import NoRefinementError, RefinementError
-from repro.milp.solution import Solution
+from repro.milp.solution import Solution, SolveStatus
 from repro.provenance.lineage import AnnotatedDatabase, annotate
 from repro.relational.database import Database
 from repro.relational.executor import QueryExecutor, RankedResult
@@ -32,7 +34,10 @@ from repro.relational.query import SPJQuery
 from repro.relational.sqlgen import render_sql
 
 
-@dataclass
+#: Terminal statuses that prove the answer: no later solve can change it.
+_PROVEN_STATUSES = frozenset({SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE})
+
+
 class PreparedProblem:
     """The reusable outcome of :meth:`RefinementSolver.prepare`.
 
@@ -46,17 +51,49 @@ class PreparedProblem:
     model and marks them added in the lazy pools, and a second solve that
     separated against those pools at the same time would find the rows no
     longer pending and accept an infeasible relaxation optimum.
-    :meth:`RefinementSolver.solve` therefore holds ``solve_lock`` around the
-    backend solve and cut loop, so solves of one prepared problem run one at
-    a time while distinct problems still solve concurrently.
+    :meth:`solve_once` therefore holds ``solve_lock`` around the backend
+    solve and cut loop, so solves of one prepared problem run one at a time
+    while distinct problems still solve concurrently.
+
+    A proven solve (optimal or infeasible) is kept per backend name together
+    with the cut statistics and lowering count of the solve that proved it,
+    so a repeat answers with the first solve's bytes and never runs the
+    backend again.  A time-limited solve is not kept: the next solve starts
+    from the model the cut loop grew and may report fewer cut rounds than a
+    one-shot run of the same problem.
     """
 
-    original_result: RankedResult
-    artifacts: BuildArtifacts
-    setup_seconds: float
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        original_result: RankedResult,
+        artifacts: BuildArtifacts,
+        setup_seconds: float,
+    ) -> None:
+        self.original_result = original_result
+        self.artifacts = artifacts
+        self.setup_seconds = setup_seconds
         self.solve_lock = threading.Lock()
+        self._proven: dict[str, tuple[Solution, dict, int]] = guard_mapping(
+            {}, self.solve_lock, "PreparedProblem._proven"
+        )
+
+    def solve_once(
+        self, backend: str, run: Callable[[], tuple[Solution, dict]]
+    ) -> tuple[Solution, dict, int]:
+        """``run()`` under ``solve_lock``, unless ``backend`` already proved.
+
+        Returns the terminal solution, its cut statistics and the model's
+        full-lowering count after the solve.
+        """
+        with self.solve_lock:
+            proven = self._proven.get(backend)
+            if proven is not None:
+                return proven
+            solution, cut_statistics = run()
+            outcome = (solution, cut_statistics, self.artifacts.model.full_lowerings)
+            if solution.status in _PROVEN_STATUSES:
+                self._proven[backend] = outcome
+            return outcome
 
 
 @dataclass
@@ -203,15 +240,17 @@ class RefinementSolver:
             prepared = self.prepare()
         original_result, artifacts = prepared.original_result, prepared.artifacts
 
-        with prepared.solve_lock:
+        def run() -> tuple[Solution, dict]:
             if artifacts.lazy_pools:
-                solution, cut_statistics = self._solve_cut_loop(artifacts)
-            else:
-                solution = artifacts.model.solve(
-                    self.backend, time_limit=self._eager_time_limit()
-                )
-                cut_statistics = {}
-            full_lowerings = artifacts.model.full_lowerings
+                return self._solve_cut_loop(artifacts)
+            solution = artifacts.model.solve(
+                self.backend, time_limit=self._eager_time_limit()
+            )
+            return solution, {}
+
+        solution, cut_statistics, full_lowerings = prepared.solve_once(
+            self.backend, run
+        )
         solve_seconds = solution.solve_seconds
 
         result = self._extract(original_result, artifacts, solution)

@@ -14,12 +14,15 @@ same bytes for the same request (timings excluded — see
 
 Identical in-flight requests are coalesced into one computation
 (:class:`~repro.service.coalesce.RequestCoalescer`); the engine's
-``solves_started`` counter exposes how many solves actually ran.
+``solves_started`` counter exposes how many solves actually ran.  A
+``milp`` or ``milp+opt`` request whose original query already meets its
+constraints (:func:`original_fits`) is answered with that query, unsolved.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
@@ -39,10 +42,13 @@ from repro.core.portfolio import (
     PortfolioSolver,
 )
 from repro.core.deadline import Deadline, current_deadline, deadline_scope
+from repro.core.refinement import Refinement
 from repro.core.solver import RefinementSolver
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.exceptions import InfeasibleError, RefinementError, SolverError
 from repro.milp.solution import SolveStatus
+from repro.relational.executor import QueryExecutor, RankedResult
+from repro.relational.query import SPJQuery
 from repro.relational.sqlgen import render_sql
 from repro.service.coalesce import RequestCoalescer
 from repro.service.session import DatasetSession, SessionPool
@@ -307,7 +313,8 @@ class RefineResponse:
 
     ``engine`` names the solve path family (``"milp"``, ``"exhaustive"`` or
     ``"erica"``); ``statistics`` carries the family-specific extras (model
-    statistics, candidates examined, …).  ``refinements`` lists Erica's
+    statistics, candidates examined, …), or ``original_fits`` when the
+    original query was the answer and nothing was solved.  ``refinements`` lists Erica's
     enumerated solutions (empty elsewhere).  Timings live under ``timings``
     and are excluded from :meth:`canonical_dict`, which is the byte-stable
     form: a server response and a one-shot CLI run of the same request
@@ -387,6 +394,28 @@ class RefineResponse:
         )
 
 
+def original_fits(
+    executor: QueryExecutor,
+    query: SPJQuery,
+    constraints: ConstraintSet,
+    epsilon: float,
+) -> RankedResult | None:
+    """``Q(D)`` when the original query is itself an answer, else ``None``.
+
+    ``Q`` is a refinement of itself at distance 0 under every measure, so it
+    is the proven optimum of Definition 2.7 whenever ``Q(D)`` has at least
+    ``k*`` rows and deviates from ``constraints`` by at most ``epsilon`` --
+    the test (with the same slack) that the exhaustive searches and the race
+    verifier apply to every candidate.
+    """
+    original = executor.evaluate(query)
+    if len(original) < constraints.k_star or not constraints.is_satisfied(
+        original, epsilon
+    ):
+        return None
+    return original
+
+
 class RefinementEngine:
     """The facade every front end calls: ``refine(request) -> response``.
 
@@ -456,10 +485,62 @@ class RefinementEngine:
         if request.method == "portfolio":
             return self._refine_portfolio(session, request)
         if request.method in ("milp", "milp+opt"):
+            as_is = self._answer_as_is(session, request)
+            if as_is is not None:
+                return as_is
             return self._refine_milp(session, request)
         if request.method in ("naive", "naive+prov"):
             return self._refine_exhaustive(session, request)
         return self._refine_erica(session, request)
+
+    @staticmethod
+    def _answer_as_is(
+        session: DatasetSession, request: RefineRequest
+    ) -> RefineResponse | None:
+        """The unchanged query as a proven MILP answer, when :func:`original_fits`.
+
+        No MILP is built, cached or solved; ``None`` sends the request down
+        its solve path.  The check lives here, not in the solvers, so
+        :class:`RefinementSolver` stays the paper's algorithm, which the
+        benchmarks and the differential oracle measure.  The exhaustive
+        baselines (the oracle's ground truth) and Erica never take it, and
+        neither does a portfolio race: a request for a race under a deadline
+        gets the race and its provenance record.
+        """
+        started = time.perf_counter()
+        constraints = request.constraint_set()
+        query = session.query
+        original = original_fits(session.executor, query, constraints, request.epsilon)
+        if original is None:
+            return None
+        identity = Refinement.identity(query)
+        refined_query = identity.apply(query)
+        distance = get_distance(request.distance)
+        response = RefineResponse(
+            request=request,
+            engine="milp",
+            method=request.method,
+            distance_code=distance.code,
+            status="ok",
+            feasible=True,
+            distance_value=distance.evaluate(
+                query, refined_query, original, original, constraints.k_star
+            ),
+            deviation=constraints.deviation(original),
+            refinement=identity.describe(query),
+            refined_sql=render_sql(refined_query),
+            constraint_counts=constraints.counts(original),
+        )
+        elapsed = time.perf_counter() - started
+        # The identity assignment is the MILP's objective-0 point.
+        response.objective_value = 0.0
+        response.statistics = {"original_fits": True}
+        response.timings = {
+            "setup_seconds": elapsed,
+            "solve_seconds": 0.0,
+            "total_seconds": elapsed,
+        }
+        return response
 
     def _refine_portfolio(
         self, session: DatasetSession, request: RefineRequest
@@ -717,5 +798,6 @@ __all__ = [
     "RefineRequest",
     "RefineResponse",
     "RefinementEngine",
+    "original_fits",
     "parse_constraint_specs",
 ]

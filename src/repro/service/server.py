@@ -56,6 +56,11 @@ class _Handler(BaseHTTPRequestHandler):
     # Set by RefinementServer when the handler class is bound.
     server_facade: "RefinementServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every connection: ``_send_json`` writes the headers and
+    # the body separately, and with Nagle's algorithm on the body waits for
+    # the client's delayed ACK of the headers (40 ms or more on Linux) on
+    # every response of a keep-alive connection.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if self.server_facade.verbose:

@@ -24,6 +24,11 @@ Against it:
   most epsilon and return at least ``k*`` rows;
 * Erica with ``output_size = k`` must return exactly ``k`` rows that satisfy
   every constraint, and can only be feasible when the ground truth is.
+
+The same draws hold the service's as-is rule
+(:func:`~repro.service.engine.original_fits`) to the ground truth: whenever
+it answers a query unchanged, the optimum is 0, and for ``pred`` (where only
+the query itself is at distance 0) it fires on every draw whose optimum is 0.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from repro.core import (
 )
 from repro.datasets import load_dataset, scale_database
 from repro.relational import QueryExecutor
+from repro.service.engine import original_fits
 
 #: Sizes that keep each dataset's refinement space in the low thousands.
 INSTANCE_SIZES = {
@@ -211,3 +217,26 @@ def test_engines_agree_with_exhaustive_search(monkeypatch, seed):
         assert constraints.deviation(refined) == 0.0
         if distance == "pred":
             assert answer.distance_value >= truth.distance_value - TOLERANCE
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_as_is_rule_fires_only_on_a_zero_optimum(seed):
+    database, query, constraints, epsilon, distance = draw_instance(seed)
+    fits = original_fits(QueryExecutor(database), query, constraints, epsilon)
+    if fits is None and distance != "pred":
+        return  # another refinement may sit at distance 0: nothing to hold
+    truth = NaiveSearch(
+        database,
+        query,
+        constraints,
+        epsilon=epsilon,
+        distance=distance,
+        jobs=1,
+        executor_backend="sqlite",
+    ).search()
+    assert truth.exhausted
+    zero_optimum = truth.feasible and truth.distance_value <= TOLERANCE
+    if fits is not None:
+        assert zero_optimum
+    if distance == "pred":
+        assert zero_optimum == (fits is not None)

@@ -13,10 +13,13 @@ answers against a serial solve.
 
 Taking turns spends time: a solve queued behind another must not hand its
 backend a time limit that ignores how much of its deadline the wait used.
+A solve queued behind a proof does not call its backend at all: the
+prepared problem keeps the proven answer.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -25,6 +28,7 @@ import pytest
 from repro.core import ConstraintSet, RefinementSolver, at_least, lazy_generation
 from repro.core.deadline import Deadline, current_deadline, deadline_scope
 from repro.datasets import load_dataset
+from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers import ScipySolver
 
 #: How long a gated thread waits for the other one before going on alone.
@@ -112,7 +116,61 @@ def test_concurrent_solves_of_one_prepared_problem_match_the_serial_answer(
     assert answers == [serial, serial]
 
 
-def test_queued_eager_solve_gets_only_what_its_deadline_has_left(monkeypatch):
+def test_concurrent_repeats_share_one_proven_solve(monkeypatch):
+    # A huge floor lowers the model eagerly: one backend call proves it.
+    monkeypatch.setattr(lazy_generation, "MIN_LAZY_POOL_ROWS", 2**62)
+    parameters, constraints = INSTANCES["students"]
+    bundle = load_dataset("students", **parameters)
+
+    def solver() -> RefinementSolver:
+        return RefinementSolver(
+            bundle.database,
+            bundle.query,
+            ConstraintSet(constraints),
+            epsilon=0.0,
+            method="milp",
+            backend="scipy",
+        )
+
+    serial = _answer(solver().solve())
+    prepared = solver().prepare()
+    solves: list[int] = []
+    real_solve = ScipySolver.solve
+
+    def counting_solve(self, model, **hints):
+        solves.append(threading.get_ident())
+        return real_solve(self, model, **hints)
+
+    monkeypatch.setattr(ScipySolver, "solve", counting_solve)
+    answers: list = []
+
+    def run() -> None:
+        answers.append(_answer(solver().solve(prepared=prepared)))
+
+    threads = [threading.Thread(target=run) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [serial] * len(threads)
+    # A check-then-solve race would let a second thread solve beside the first.
+    assert len(solves) == 1
+
+
+def _queue_behind(monkeypatch, first_solution=None):
+    """Solve one prepared problem on thread A, then on B behind A's lock.
+
+    A's backend call holds the prepared problem's lock for 0.5 s; it returns
+    ``first_solution`` instead of solving when one is given.  B queues for
+    the lock under a 0.3 s deadline.  Returns each thread's backend call as
+    ``(time_limit, deadline remaining)``.
+    """
     # A huge floor lowers every rank/top-k row eagerly, so there is no cut
     # loop to re-read the deadline between rounds.
     monkeypatch.setattr(lazy_generation, "MIN_LAZY_POOL_ROWS", 2**62)
@@ -145,6 +203,8 @@ def test_queued_eager_solve_gets_only_what_its_deadline_has_left(monkeypatch):
         if name == "A":
             holding.set()
             time.sleep(0.5)  # hold the prepared problem's lock
+            if first_solution is not None:
+                return first_solution
         return real_solve(self, model, time_limit=time_limit, **hints)
 
     monkeypatch.setattr(ScipySolver, "solve", recording_solve)
@@ -168,10 +228,22 @@ def test_queued_eager_solve_gets_only_what_its_deadline_has_left(monkeypatch):
     for thread in threads:
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
+    return calls
 
+
+def test_queued_eager_solve_gets_only_what_its_deadline_has_left(monkeypatch):
+    # A's solve ends unproven, so B finds nothing cached and must solve.
+    calls = _queue_behind(
+        monkeypatch, Solution(status=SolveStatus.TIME_LIMIT, solver_name="stub")
+    )
     limit, remaining = calls["B"]
     assert limit is not None and remaining is not None
     # At most what is left (the wait spent the whole 0.3 s), floored as the
     # cut loop floors each round; the slack covers the gap between reading
     # the limit and entering the backend.
     assert limit <= max(remaining, lazy_generation._MIN_SOLVE_LIMIT) + 0.05
+
+
+def test_solve_queued_behind_a_proof_reuses_it(monkeypatch):
+    calls = _queue_behind(monkeypatch)
+    assert set(calls) == {"A"}

@@ -26,6 +26,13 @@ _SLA_GRACE_S = 0.5
 
 
 def _wire(method: str = "naive", **overrides) -> dict:
+    """The students ``3@6 Gender=F`` request.
+
+    At the default epsilon of 0.5 the query already fits (deviation 1/3), so
+    the MILP methods answer it unsolved; at epsilon 0 every engine refines
+    it (``Activity: +{SO}``, distance 0.5), which the MILP scenarios need to
+    reach the backend.
+    """
     payload = {
         "dataset": "students",
         "constraints": [
@@ -143,7 +150,7 @@ class TestInjectionScenarios:
     def test_slow_solve_still_answers_within_sla(self, chaos_server, fault_env):
         plan = fault_env(REPRO_FAULT_SLOW_SOLVE="1.0,seconds=0.1")
         status, body, _, elapsed = _post(
-            chaos_server, _wire("milp", deadline_s=10.0)
+            chaos_server, _wire("milp", deadline_s=10.0, epsilon=0.0)
         )
         assert status == 200 and body["feasible"]
         _assert_within_sla(elapsed, 10.0)
@@ -152,7 +159,7 @@ class TestInjectionScenarios:
     def test_backend_raise_degrades_to_exhaustive(self, chaos_server, fault_env):
         fault_env(REPRO_FAULT_BACKEND_RAISE="1.0")
         status, body, _, elapsed = _post(
-            chaos_server, _wire("milp+opt", deadline_s=10.0)
+            chaos_server, _wire("milp+opt", deadline_s=10.0, epsilon=0.0)
         )
         assert status == 200
         assert body["engine"] == "exhaustive"
@@ -190,7 +197,9 @@ class TestInjectionScenarios:
 
     def test_storm_sheds_typed_429_with_retry_after(self, chaos_server, fault_env):
         fault_env(REPRO_FAULT_SLOW_SOLVE="1.0,seconds=0.4")
-        payload = _wire("milp", deadline_s=10.0)
+        # A problem no earlier scenario proved: a proven one answers from
+        # its prepared problem without reaching the slowed backend.
+        payload = _wire("milp", deadline_s=10.0, epsilon=0.0, distance="jaccard")
         results: list[tuple[int, dict, dict, float]] = []
         lock = threading.Lock()
 
@@ -215,18 +224,23 @@ class TestInjectionScenarios:
                 assert "Retry-After" in headers
 
     def test_three_engine_parity_after_the_scenarios(self, chaos_server):
-        """With faults disarmed, the engines agree again — nothing corrupted."""
-        answers = {}
-        for method in ("naive", "naive+prov", "milp"):
-            status, body, _, _ = _post(chaos_server, _wire(method))
-            assert status == 200, body
-            answers[method] = (
-                body["feasible"],
-                body["refinement"],
-                round(body["distance_value"], 6),
-                round(body["deviation"], 6),
-            )
-        assert answers["naive"] == answers["naive+prov"] == answers["milp"]
+        """With faults disarmed, the engines agree again — nothing corrupted.
+
+        Both on the query as it stands (epsilon 0.5) and on a refinement
+        (epsilon 0), which the MILP has to solve for.
+        """
+        for epsilon in (0.5, 0.0):
+            answers = {}
+            for method in ("naive", "naive+prov", "milp"):
+                status, body, _, _ = _post(chaos_server, _wire(method, epsilon=epsilon))
+                assert status == 200, body
+                answers[method] = (
+                    body["feasible"],
+                    body["refinement"],
+                    round(body["distance_value"], 6),
+                    round(body["deviation"], 6),
+                )
+            assert answers["naive"] == answers["naive+prov"] == answers["milp"]
 
 
 class TestStoreChaosThroughTheServer:

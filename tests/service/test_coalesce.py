@@ -87,7 +87,6 @@ class TestEngineCoalescing:
     """The solve-counter proof: N identical concurrent requests, one solve."""
 
     def test_identical_requests_solve_once(self, monkeypatch):
-        engine = RefinementEngine()
         release = threading.Event()
         solves = []
         original = RefinementEngine._refine
@@ -98,21 +97,32 @@ class TestEngineCoalescing:
             return original(self, request)
 
         monkeypatch.setattr(RefinementEngine, "_refine", slow_refine)
-        request = RefineRequest(
-            dataset="students",
-            constraints=(ConstraintSpec("at_least", 3, 6, (("Gender", "F"),)),),
-        )
-        workers = 6
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(engine.refine, request) for _ in range(workers)]
-            deadline = time.monotonic() + 30.0
-            while engine.coalescer.coalesced < workers - 1 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            release.set()
-            responses = [future.result(timeout=30.0) for future in futures]
-        assert len(solves) == 1, "identical concurrent requests must solve once"
-        assert engine.solves_started == 1
-        assert engine.coalescer.coalesced == workers - 1
-        assert engine.requests_served == workers
-        canonical = responses[0].canonical_json()
-        assert all(response.canonical_json() == canonical for response in responses)
+        # At epsilon 0.5 the query already fits and is answered unsolved; at
+        # epsilon 0 the computation the waiters share is a MILP solve.
+        for epsilon in (0.5, 0.0):
+            engine = RefinementEngine()
+            release.clear()
+            solves.clear()
+            request = RefineRequest(
+                dataset="students",
+                constraints=(ConstraintSpec("at_least", 3, 6, (("Gender", "F"),)),),
+                epsilon=epsilon,
+            )
+            workers = 6
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(engine.refine, request) for _ in range(workers)]
+                deadline = time.monotonic() + 30.0
+                while (
+                    engine.coalescer.coalesced < workers - 1
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                release.set()
+                responses = [future.result(timeout=30.0) for future in futures]
+            assert len(solves) == 1, "identical concurrent requests must solve once"
+            assert engine.solves_started == 1
+            assert engine.coalescer.coalesced == workers - 1
+            assert engine.requests_served == workers
+            canonical = responses[0].canonical_json()
+            assert all(response.canonical_json() == canonical for response in responses)
+            assert ("original_fits" in responses[0].statistics) == (epsilon == 0.5)

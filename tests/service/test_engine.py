@@ -3,15 +3,25 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
-from repro.core import ConstraintSet, NaiveSearch, RefinementSolver, at_least, at_most
+from repro.core import (
+    ConstraintSet,
+    NaiveSearch,
+    RefinementSolver,
+    at_least,
+    at_most,
+    lazy_generation,
+)
+from repro.core.milp_builder import MILPBuilder
 from repro.datasets import load_dataset
 from repro.exceptions import RefinementError
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers import ScipySolver
+from repro.relational.sqlgen import render_sql
 from repro.service import (
     ConstraintSpec,
     RefinementEngine,
@@ -229,3 +239,201 @@ class TestCliJson:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["feasible"] is False
+
+
+#: One constraint the students query already meets within the default
+#: epsilon of 0.5: two of its top six are female (deviation 1/3).
+FITTING = (ConstraintSpec("at_least", 3, 6, (("Gender", "F"),)),)
+
+#: Canonical answers to the running example at epsilon 0, which needs a
+#: refinement: the MILP's answers, which the as-is rule must leave byte for
+#: byte as they are.
+SOLVED_ANSWERS = {
+    ("milp", "kendall"): {
+        "distance_code": "KEN",
+        "distance_value": 5.0,
+        "activity": "MO",
+        "statistics": {"binary_variables": 43, "constraints": 143,
+                       "topk_variables": 19, "variables": 85},
+    },
+    ("milp+opt", "jaccard"): {
+        "distance_code": "JAC",
+        "distance_value": 0.2857142857142857,
+        "activity": "GD",
+        "statistics": {"binary_variables": 42, "constraints": 104,
+                       "topk_variables": 18, "variables": 71},
+    },
+}
+
+
+def solved_answer_json(method: str, distance: str) -> str:
+    answer = SOLVED_ANSWERS[method, distance]
+    activity = answer["activity"]
+    return json.dumps(
+        {
+            "constraint_counts": {"l[Gender=F,k=6]=3": 3, "u[Income=High,k=3]=1": 1},
+            "deviation": 0.0,
+            "distance_code": answer["distance_code"],
+            "distance_value": answer["distance_value"],
+            "engine": "milp",
+            "feasible": True,
+            "method": method,
+            "objective_value": 1.0,
+            "refined_sql": (
+                'SELECT DISTINCT "ID", "Gender", "Income"\n'
+                'FROM "Students" NATURAL JOIN "Activities"\n'
+                f'WHERE "GPA" >= 3.6 AND ("Activity" = \'{activity}\' OR "Activity" = \'RB\')\n'
+                'ORDER BY "SAT" DESC'
+            ),
+            "refinement": f"GPA >= 3.7 -> 3.6; Activity: +{{{activity}}}",
+            "refinements": [],
+            "request": students_request(method=method, distance=distance).to_dict(),
+            "statistics": {
+                "annotated_tuples": 14,
+                "full_lowerings": 1,
+                "lineage_classes": 10,
+                **answer["statistics"],
+            },
+            "status": "ok",
+        },
+        sort_keys=True,
+    )
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts MILP builds and HiGHS solves (the real ones still run)."""
+    calls: Counter = Counter()
+    real_build, real_solve = MILPBuilder.build, ScipySolver.solve
+
+    def build(self, *args, **kwargs):
+        calls["build"] += 1
+        return real_build(self, *args, **kwargs)
+
+    def solve(self, *args, **kwargs):
+        calls["solve"] += 1
+        return real_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(MILPBuilder, "build", build)
+    monkeypatch.setattr(ScipySolver, "solve", solve)
+    return calls
+
+
+class TestAsIsAnswer:
+    """A query whose result already fits is the proven MILP answer, unsolved."""
+
+    @pytest.fixture
+    def nothing_solves(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an as-is answer builds and solves nothing")
+
+        monkeypatch.setattr(MILPBuilder, "build", refuse)
+        monkeypatch.setattr(ScipySolver, "solve", refuse)
+
+    @pytest.mark.parametrize("distance", ["pred", "jaccard", "kendall"])
+    @pytest.mark.parametrize("method", ["milp", "milp+opt"])
+    def test_fitting_query_is_answered_unchanged(self, nothing_solves, method, distance):
+        engine = RefinementEngine()
+        response = engine.refine(
+            RefineRequest(
+                dataset="students", constraints=FITTING, method=method, distance=distance
+            )
+        )
+        assert response.status == "ok" and response.feasible
+        assert response.refinement == "(no change)"
+        assert response.refined_sql == render_sql(load_dataset("students").query)
+        assert response.distance_value == 0.0
+        assert response.deviation == pytest.approx(1 / 3)
+        assert response.constraint_counts == {"l[Gender=F,k=6]=3": 2}
+        assert response.engine == "milp"
+        assert response.objective_value == 0.0
+        assert response.statistics == {"original_fits": True}
+        assert set(response.timings) == {"setup_seconds", "solve_seconds", "total_seconds"}
+        assert response.timings["solve_seconds"] == 0.0
+        [session] = engine.sessions.sessions()
+        assert session.describe()["prepared_milps"] == 0
+
+    @pytest.mark.parametrize("method, distance", sorted(SOLVED_ANSWERS))
+    def test_query_that_does_not_fit_is_solved_as_before(
+        self, solve_calls, method, distance
+    ):
+        response = RefinementEngine().refine(
+            students_request(method=method, distance=distance)
+        )
+        assert solve_calls["build"] == 1 and solve_calls["solve"] >= 1
+        assert response.canonical_json() == solved_answer_json(method, distance)
+
+    def test_too_few_rows_is_not_an_answer(self):
+        # Q(D) deviates by 0, but returns 27 rows where k* is 30: Q is no
+        # refinement within the bound, so the MILP must refine it.
+        response = RefinementEngine().refine(
+            RefineRequest(
+                dataset="astronauts",
+                constraints=(ConstraintSpec("at_least", 15, 30, (("Gender", "M"),)),),
+            )
+        )
+        assert "original_fits" not in response.statistics
+        assert response.refinement == "Space Walks <= 3 -> 4"
+        assert response.distance_value == pytest.approx(1 / 3)
+        assert response.deviation == 0.0
+
+    @pytest.mark.parametrize("method", ["naive", "naive+prov", "erica", "portfolio"])
+    def test_other_methods_never_answer_as_is(self, method):
+        response = RefinementEngine().refine(
+            RefineRequest(
+                dataset="students",
+                constraints=FITTING,
+                method=method,
+                jobs=1,
+                deadline_s=10.0 if method == "portfolio" else None,
+            )
+        )
+        assert "original_fits" not in response.statistics
+        if method == "portfolio":
+            # The race ran: its engines are on the record.
+            assert response.race["engines"]
+
+
+class TestProvenSolveCache:
+    """A repeat of a proven MILP answers the first solve's bytes, unsolved."""
+
+    @pytest.mark.parametrize(
+        "dataset, parameters, constraints, epsilon, distance, method",
+        [
+            ("students", (), CONSTRAINTS, 0.0, "pred", "milp"),
+            ("students", (), CONSTRAINTS[:1], 0.0, "kendall", "milp+opt"),
+            # Proven infeasible.
+            (
+                "tpch",
+                (("scale_factor", 0.05),),
+                (ConstraintSpec("at_least", 5, 10, (("OrderPriority", "5-LOW"),)),),
+                0.0,
+                "pred",
+                "milp",
+            ),
+        ],
+        ids=["students-pred-milp", "students-kendall-milp+opt", "tpch-infeasible"],
+    )
+    def test_repeat_matches_a_fresh_engine_without_solving(
+        self, monkeypatch, solve_calls, dataset, parameters, constraints, epsilon,
+        distance, method,
+    ):
+        # Floor 0 pools every rank/top-k row: the first solve runs the cut
+        # loop and grows the session's prepared model.
+        monkeypatch.setattr(lazy_generation, "MIN_LAZY_POOL_ROWS", 0)
+        request = RefineRequest(
+            dataset=dataset,
+            dataset_parameters=parameters,
+            constraints=constraints,
+            epsilon=epsilon,
+            distance=distance,
+            method=method,
+        )
+        engine = RefinementEngine()
+        first = engine.refine(request)
+        assert first.statistics["cut_rounds"] >= 1
+        solves = solve_calls["solve"]
+        second = engine.refine(request)
+        assert solve_calls["solve"] == solves
+        fresh = RefinementEngine().refine(request)
+        assert first.canonical_json() == second.canonical_json() == fresh.canonical_json()

@@ -2,11 +2,17 @@
 
 The headline property: N concurrent server responses are byte-identical to a
 serial one-shot CLI run of the same request, on every registered dataset.
+Each case runs at the default epsilon of 0.5, where the students,
+law_students and meps queries already fit and are answered unsolved, and at
+epsilon 0, where every case needs a MILP solve.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -49,7 +55,13 @@ def get_json(url: str) -> dict:
         return json.loads(response.read())
 
 
-def wire_request(dataset: str, method: str = "milp+opt") -> dict:
+#: The default epsilon, and one at which no case fits as it stands.
+EPSILONS = (0.5, 0.0)
+
+
+def wire_request(
+    dataset: str, method: str = "milp+opt", epsilon: float = 0.5
+) -> dict:
     parameters, constraint = DATASET_CASES[dataset]
     bound_and_k, _, group_text = constraint.partition(":")
     bound, _, k = bound_and_k.partition("@")
@@ -66,17 +78,18 @@ def wire_request(dataset: str, method: str = "milp+opt") -> dict:
         ],
         "method": method,
         "jobs": 1,
+        "epsilon": epsilon,
     }
     if parameters:
         payload["dataset_parameters"] = parameters
     return payload
 
 
-def cli_arguments(dataset: str, method: str) -> list[str]:
+def cli_arguments(dataset: str, method: str, epsilon: float = 0.5) -> list[str]:
     parameters, constraint = DATASET_CASES[dataset]
     arguments = [
         "refine", "--dataset", dataset, "--at-least", constraint,
-        "--method", method, "--jobs", "1", "--json",
+        "--method", method, "--jobs", "1", "--epsilon", str(epsilon), "--json",
     ]
     if "num_rows" in parameters:
         arguments += ["--rows", str(parameters["num_rows"])]
@@ -133,6 +146,22 @@ class TestEndpoints:
         assert "coalescer" in stats
         assert "sessions" in stats
 
+    def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(self, server):
+        # Headers and body go out as two writes; with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK (40 ms or more).
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                connection.request("GET", "/health")
+                response = connection.getresponse()
+                assert json.loads(response.read()) == {"status": "ok"}
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.010
+
 
 class TestServerCliParity:
     """Concurrent server answers == serial one-shot CLI answers, byte for byte."""
@@ -145,37 +174,47 @@ class TestServerCliParity:
         self, dataset, base_url, capsys
     ):
         method = "milp+opt"
-        main(cli_arguments(dataset, method))
-        expected = canonical(json.loads(capsys.readouterr().out))
+        for epsilon in EPSILONS:
+            main(cli_arguments(dataset, method, epsilon))
+            expected = canonical(json.loads(capsys.readouterr().out))
 
-        payload = wire_request(dataset, method)
-        workers = 4
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(post_json, base_url + "/refine", payload)
-                for _ in range(workers)
-            ]
-            responses = [future.result(timeout=120) for future in futures]
-        assert [canonical(response) for response in responses] == [expected] * workers
+            payload = wire_request(dataset, method, epsilon)
+            workers = 4
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [
+                    pool.submit(post_json, base_url + "/refine", payload)
+                    for _ in range(workers)
+                ]
+                responses = [future.result(timeout=120) for future in futures]
+            assert [canonical(response) for response in responses] == [
+                expected
+            ] * workers
 
     def test_concurrent_mixed_datasets(self, base_url):
         """Interleaved requests across datasets stay isolated from each other."""
-        datasets = sorted(DATASET_CASES) * 2
-        with ThreadPoolExecutor(max_workers=len(datasets)) as pool:
+        cases = [
+            (dataset, epsilon) for dataset in sorted(DATASET_CASES) for epsilon in EPSILONS
+        ] * 2
+        # Ten connections at once, as with one case per dataset: a larger
+        # burst overflows the server's listen backlog (5) and can be reset.
+        with ThreadPoolExecutor(max_workers=2 * len(DATASET_CASES)) as pool:
             futures = {
                 pool.submit(
-                    post_json, base_url + "/refine", wire_request(dataset)
-                ): dataset
-                for dataset in datasets
+                    post_json,
+                    base_url + "/refine",
+                    wire_request(dataset, epsilon=epsilon),
+                ): (dataset, epsilon)
+                for dataset, epsilon in cases
             }
-            by_dataset: dict[str, list[str]] = {}
-            for future, dataset in futures.items():
-                by_dataset.setdefault(dataset, []).append(
+            by_case: dict[tuple[str, float], list[str]] = {}
+            for future, case in futures.items():
+                by_case.setdefault(case, []).append(
                     canonical(future.result(timeout=180))
                 )
-        for dataset, answers in by_dataset.items():
+        for (dataset, epsilon), answers in by_case.items():
             assert len(set(answers)) == 1, f"{dataset} answers diverged"
-            assert json.loads(answers[0])["request"]["dataset"] == dataset
+            request = json.loads(answers[0])["request"]
+            assert (request["dataset"], request["epsilon"]) == (dataset, epsilon)
 
     def test_exhaustive_method_parity(self, base_url, capsys):
         main(cli_arguments("students", "naive+prov"))
@@ -184,20 +223,24 @@ class TestServerCliParity:
         assert canonical(response) == expected
 
     def test_server_response_includes_timings(self, base_url):
-        response = post_json(base_url + "/refine", wire_request("students"))
-        assert "total_seconds" in response["timings"]
+        for epsilon in EPSILONS:
+            response = post_json(
+                base_url + "/refine", wire_request("students", epsilon=epsilon)
+            )
+            assert "total_seconds" in response["timings"]
 
 
 class TestServeProgrammatic:
     def test_refine_facade_used_by_handler(self):
         engine = RefinementEngine()
         with RefinementServer(port=0, engine=engine) as running:
-            payload = wire_request("students")
-            response = post_json(
-                f"http://127.0.0.1:{running.port}/refine", payload
-            )
-            assert response["feasible"] is not None
-            assert engine.requests_served == 1
+            for served, epsilon in enumerate(EPSILONS, start=1):
+                payload = wire_request("students", epsilon=epsilon)
+                response = post_json(
+                    f"http://127.0.0.1:{running.port}/refine", payload
+                )
+                assert response["feasible"] is not None
+                assert engine.requests_served == served
         # Shutdown closed the pool's sessions.
         assert engine.sessions.sessions() == []
 

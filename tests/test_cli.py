@@ -104,17 +104,46 @@ class TestCommands:
         assert "No refinement" in capsys.readouterr().out
 
     def test_refine_on_scaled_down_dataset(self, capsys):
+        # 4@10 already holds (deviation 0), so the query is answered as it
+        # stands; 6@10 at epsilon 0 needs a MILP solve.
+        for constraint, epsilon in (("4@10:Sex=F", "0.5"), ("6@10:Sex=F", "0")):
+            exit_code = main(
+                [
+                    "refine",
+                    "--dataset", "law_students",
+                    "--rows", "400",
+                    "--at-least", constraint,
+                    "--epsilon", epsilon,
+                ]
+            )
+            assert exit_code == 0
+            assert "refined query:" in capsys.readouterr().out
+
+    def test_refine_says_why_a_fitting_query_is_unchanged(self, capsys):
         exit_code = main(
-            [
-                "refine",
-                "--dataset", "law_students",
-                "--rows", "400",
-                "--at-least", "4@10:Sex=F",
-                "--epsilon", "0.5",
-            ]
+            ["refine", "--dataset", "students", "--at-least", "3@6:Gender=F"]
         )
         assert exit_code == 0
-        assert "refined query:" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert (
+            "The original query already meets the constraints within epsilon=0.5, "
+            "so no MILP was built."
+        ) in output
+        assert "distance=0 deviation=0.3333" in output
+        assert "refinement: (no change)" in output
+        assert "model statistics" not in output
+
+    def test_refine_that_needs_a_solve_reports_its_model(self, capsys):
+        exit_code = main(
+            ["refine", "--dataset", "students", "--at-least", "3@6:Gender=F",
+             "--epsilon", "0"]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "already meets the constraints" not in output
+        assert "refinement: Activity: +{SO}" in output
+        assert "l[Gender=F,k=6]=3: 3" in output
+        assert "model statistics: {" in output
 
 
 class TestMalformedSpecs:
