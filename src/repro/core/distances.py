@@ -120,13 +120,30 @@ class PredicateDistance(DistanceMeasure):
         total = 0.0
         for predicate in query.numerical_predicates:
             key = (predicate.attribute, predicate.operator)
-            constant = refinement.numerical.get(key, predicate.constant)
-            normaliser = abs(predicate.constant) if predicate.constant else 1.0
-            total += abs(predicate.constant - constant) / normaliser
+            total += self.numerical_term(
+                predicate, refinement.numerical.get(key, predicate.constant)
+            )
         for predicate in query.categorical_predicates:
-            values = refinement.categorical.get(predicate.attribute, predicate.values)
-            total += _jaccard(predicate.values, values)
+            total += self.categorical_term(
+                predicate, refinement.categorical.get(predicate.attribute, predicate.values)
+            )
         return total
+
+    @staticmethod
+    def numerical_term(predicate, constant):
+        """One numerical predicate's term ``|C - C'| / C`` (normaliser 1 when ``C`` is 0).
+
+        ``constant`` may be a NumPy array of refined constants: the block
+        search computes one term per candidate constant with this same
+        expression, so its sums match :meth:`evaluate_refinement` bit for bit.
+        """
+        normaliser = abs(predicate.constant) if predicate.constant else 1.0
+        return abs(predicate.constant - constant) / normaliser
+
+    @staticmethod
+    def categorical_term(predicate, values) -> float:
+        """One categorical predicate's term: the Jaccard distance of the value sets."""
+        return _jaccard(predicate.values, values)
 
     def evaluate_queries(self, query: SPJQuery, refined_query: SPJQuery) -> float:
         """Predicate distance needs only the two queries, not their outputs."""
@@ -145,15 +162,16 @@ class PredicateDistance(DistanceMeasure):
                 raise RefinementError(
                     f"refined query dropped the numerical predicate on {key}"
                 )
-            normaliser = abs(predicate.constant) if predicate.constant else 1.0
-            total += abs(predicate.constant - refined_numerical[key]) / normaliser
+            total += self.numerical_term(predicate, refined_numerical[key])
         for predicate in query.categorical_predicates:
             if predicate.attribute not in refined_categorical:
                 raise RefinementError(
                     f"refined query dropped the categorical predicate on "
                     f"{predicate.attribute!r}"
                 )
-            total += _jaccard(predicate.values, refined_categorical[predicate.attribute])
+            total += self.categorical_term(
+                predicate, refined_categorical[predicate.attribute]
+            )
         return total
 
     def build_objective(self, context: MILPBuildContext) -> LinearExpression:

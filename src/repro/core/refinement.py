@@ -9,8 +9,11 @@ projection, ranking) untouched.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import RefinementError
 from repro.provenance.lineage import AnnotatedDatabase
@@ -23,6 +26,22 @@ from repro.relational.predicates import (
 from repro.relational.query import SPJQuery
 
 NumericalKey = tuple[str, Operator]
+
+
+def candidate_digits(sizes: Sequence[int], start: int, count: int) -> list[np.ndarray]:
+    """Per-dimension value positions of ``count`` consecutive candidates.
+
+    Candidates of a cross product of dimensions with the given ``sizes`` are
+    numbered as :meth:`RefinementSpace.enumerate` yields them (the last
+    dimension varies fastest); candidate ``start + i`` takes value
+    ``digits[j][i]`` of dimension ``j``.
+    """
+    index = np.arange(start, start + count, dtype=np.int64)
+    digits = []
+    for size in reversed(sizes):
+        index, digit = np.divmod(index, size)
+        digits.append(digit)
+    return digits[::-1]
 
 
 @dataclass(frozen=True)
@@ -160,16 +179,68 @@ class RefinementSpace:
             for predicate in query.categorical_predicates
         }
 
+    # -- dimensions -----------------------------------------------------------------
+
+    def dimensions(self) -> list[NumericalKey | str]:
+        """The enumeration dimensions, outermost first.
+
+        Numerical ``(attribute, operator)`` keys in query order, then
+        categorical attributes in query order; the last dimension varies
+        fastest in :meth:`enumerate`.
+        """
+        return [*self._numerical_candidates, *self._categorical_domains]
+
+    def dimension_size(self, position: int) -> int:
+        """Exact candidate count of one dimension (may be astronomically large)."""
+        keys = self.dimensions()
+        if position < len(self._numerical_candidates):
+            return len(self._numerical_candidates[keys[position]])
+        return self._subset_count(keys[position])
+
+    def dimension_values(self, position: int) -> Iterator:
+        """A fresh iterator over one dimension's candidate values, in order.
+
+        Numerical constants ascending; categorical value subsets nearest to
+        the original set first (generated lazily, never materialised).
+        """
+        keys = self.dimensions()
+        if position < len(self._numerical_candidates):
+            return iter(self._numerical_candidates[keys[position]])
+        return self._ordered_subsets(keys[position])
+
+    def refinement(self, values: Sequence) -> Refinement:
+        """The candidate choosing ``values[i]`` on dimension ``i``."""
+        split = len(self._numerical_candidates)
+        return Refinement(
+            numerical=dict(zip(self._numerical_candidates, values[:split])),
+            categorical=dict(zip(self._categorical_domains, values[split:])),
+        )
+
+    def _subset_count(self, attribute: str) -> int:
+        """Number of subsets :meth:`_ordered_subsets` yields for ``attribute``.
+
+        Toggling domain values against the original set empties it exactly
+        once when every original value is in the domain; an original value
+        no tuple carries stays in every subset, so none is empty.
+        """
+        domain = self._categorical_domains[attribute]
+        empty = 1 if self._original_values(attribute) <= set(domain) else 0
+        return 2 ** len(domain) - empty
+
+    def _original_values(self, attribute: str) -> frozenset:
+        return next(
+            predicate.values
+            for predicate in self.query.categorical_predicates
+            if predicate.attribute == attribute
+        )
+
     # -- size accounting -----------------------------------------------------------
 
     def size(self) -> int:
         """Number of candidate refinements (may be astronomically large)."""
-        total = 1
-        for candidates in self._numerical_candidates.values():
-            total *= len(candidates)
-        for domain in self._categorical_domains.values():
-            total *= 2 ** len(domain) - 1
-        return total
+        return math.prod(
+            self.dimension_size(position) for position in range(self.num_dimensions())
+        )
 
     def numerical_candidates(self, key: NumericalKey) -> list[float]:
         return list(self._numerical_candidates[key])
@@ -189,11 +260,7 @@ class RefinementSpace:
         May be astronomically large for a categorical-first space (``2^d - 1``
         subsets); callers must treat it as a number, never materialise it.
         """
-        for candidates in self._numerical_candidates.values():
-            return len(candidates)
-        for domain in self._categorical_domains.values():
-            return 2 ** len(domain) - 1
-        return 0
+        return self.dimension_size(0) if self.num_dimensions() else 0
 
     def first_dimension_values(self) -> Iterator:
         """The outermost dimension's candidate values, in enumeration order.
@@ -201,11 +268,7 @@ class RefinementSpace:
         Numerical constants for a numerical-first space, lazily generated
         value subsets (nearest-to-original first) for a categorical-first one.
         """
-        for key in self._numerical_candidates:
-            return iter(self._numerical_candidates[key])
-        for attribute in self._categorical_domains:
-            return self._ordered_subsets(attribute)
-        return iter(())
+        return self.dimension_values(0) if self.num_dimensions() else iter(())
 
     def tail_size(self) -> int:
         """Number of candidates per outermost-dimension value (inner cross product).
@@ -214,19 +277,9 @@ class RefinementSpace:
         candidate offsets for contiguous shards of the enumeration order, so a
         parallel search can reproduce ``max_candidates`` truncation exactly.
         """
-        first = True
-        total = 1
-        for candidates in self._numerical_candidates.values():
-            if first:
-                first = False
-                continue
-            total *= len(candidates)
-        for domain in self._categorical_domains.values():
-            if first:
-                first = False
-                continue
-            total *= 2 ** len(domain) - 1
-        return total
+        return math.prod(
+            self.dimension_size(position) for position in range(1, self.num_dimensions())
+        )
 
     # -- enumeration -----------------------------------------------------------------
 
@@ -236,12 +289,13 @@ class RefinementSpace:
     def enumerate(self, first_values: Iterable | None = None) -> Iterator[Refinement]:
         """Lazily enumerate every candidate refinement.
 
-        Categorical subsets are enumerated in order of increasing symmetric
-        difference from the original value set so that, under a timeout, the
-        exhaustive baselines explore "small" refinements first (as a human
-        would).  Nothing is materialised up front: for a categorical domain of
-        114 values (Astronauts) the space has ~2^114 members and the baselines
-        rely on their timeout to stop early.
+        The dimensions of :meth:`dimensions` nest outermost first, so the last
+        one varies fastest.  Categorical subsets are enumerated in order of
+        increasing symmetric difference from the original value set so that,
+        under a timeout, the exhaustive baselines explore "small" refinements
+        first (as a human would).  Nothing is materialised up front: for a
+        categorical domain of 114 values (Astronauts) the space has ~2^114
+        members and the baselines rely on their timeout to stop early.
 
         ``first_values`` restricts the *outermost* dimension to the given
         candidate values (in the given order) instead of its full list — the
@@ -249,39 +303,20 @@ class RefinementSpace:
         consecutive outer values is a contiguous block of the full enumeration
         order.
         """
-        numerical_keys = list(self._numerical_candidates)
-        categorical_attributes = list(self._categorical_domains)
+        count = self.num_dimensions()
 
-        def expand(position: int, chosen_numerical: tuple, chosen_categorical: tuple):
-            if position < len(numerical_keys):
-                key = numerical_keys[position]
-                if position == 0 and first_values is not None:
-                    candidates = first_values
-                else:
-                    candidates = self._numerical_candidates[key]
-                for constant in candidates:
-                    yield from expand(
-                        position + 1, chosen_numerical + (constant,), chosen_categorical
-                    )
+        def expand(position: int, chosen: tuple):
+            if position == count:
+                yield self.refinement(chosen)
                 return
-            categorical_position = position - len(numerical_keys)
-            if categorical_position < len(categorical_attributes):
-                attribute = categorical_attributes[categorical_position]
-                if position == 0 and first_values is not None:
-                    subsets = iter(first_values)
-                else:
-                    subsets = self._ordered_subsets(attribute)
-                for values in subsets:
-                    yield from expand(
-                        position + 1, chosen_numerical, chosen_categorical + (values,)
-                    )
-                return
-            yield Refinement(
-                numerical=dict(zip(numerical_keys, chosen_numerical)),
-                categorical=dict(zip(categorical_attributes, chosen_categorical)),
-            )
+            if position == 0 and first_values is not None:
+                values = iter(first_values)
+            else:
+                values = self.dimension_values(position)
+            for value in values:
+                yield from expand(position + 1, chosen + (value,))
 
-        return expand(0, (), ())
+        return expand(0, ())
 
     def _ordered_subsets(self, attribute: str) -> Iterator[frozenset]:
         """Yield non-empty subsets of the attribute domain, nearest-to-original first.
@@ -292,11 +327,7 @@ class RefinementSpace:
         materialise the full power set.
         """
         domain = self._categorical_domains[attribute]
-        original = next(
-            predicate.values
-            for predicate in self.query.categorical_predicates
-            if predicate.attribute == attribute
-        )
+        original = self._original_values(attribute)
         for toggles in range(len(domain) + 1):
             for toggled in itertools.combinations(domain, toggles):
                 candidate = frozenset(original.symmetric_difference(toggled))

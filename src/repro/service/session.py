@@ -9,9 +9,9 @@ across refine requests:
   per-thread connection pool over the persisted store) serve every request;
 * the provenance annotation of ``~Q(D)`` (computed once, read by all four
   engines);
-* the immutable :class:`~repro.core.MaskIndexData` half of the exhaustive
-  baselines' candidate mask index (each search wraps it in its own mutable
-  sweep caches);
+* the immutable :class:`~repro.core.MaskIndexData` column views that
+  ``Naive+prov``'s block kernel reads (each search builds its own tables
+  from them);
 * prepared MILPs (:class:`~repro.core.PreparedProblem`) keyed by problem, so
   a repeated request re-solves from the cached lowered standard form instead
   of re-running setup.
@@ -119,10 +119,10 @@ class DatasetSession:
             return self._annotated
 
     def mask_data(self) -> MaskIndexData | None:
-        """Shared (immutable) candidate-mask arrays for the exhaustive engines.
+        """Shared (immutable) column views for ``Naive+prov``'s block kernel.
 
-        ``None`` when the columnar fast path is unavailable (no NumPy); the
-        searches then fall back to their own row-wise evaluation.
+        ``None`` when a predicate column has no float or code view; the
+        search then evaluates each candidate on the executor.
         """
         with self._lock:
             if not self._mask_data_built:

@@ -5,12 +5,13 @@ engine and the sqlite pushdown backend — and this suite holds the columnar
 engine to byte-identical :class:`RankedResult`\\ s (rows, order, value
 types, projection, distinct keys, scores) on every registered dataset and on
 synthesized copies of each, including DISTINCT ranking queries.  The
-``Naive+prov`` candidate evaluation is held to sqlite's answer for each
-refined query.
+``Naive+prov`` block kernel's selected rows are held to sqlite's answer for
+each refined query.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -108,30 +109,53 @@ def test_synthesized_copy_matches_sqlite(name, seed):
     )
 
 
+def _kernel_candidates(search, limit, per_block):
+    """``(refined query, selected positions or None)`` for candidates of the
+    search's blocks: ``per_block`` evenly spaced candidates of each evaluated
+    block, and the first of each run the kernel skips (``None``: fewer than
+    ``k*`` rows), until ``limit`` evaluated candidates."""
+    space = search._space
+    kernel = search._kernel
+    evaluated = 0
+    for block in kernel.blocks():
+        if block.base is None:
+            prefix = [dimension.values[position] for dimension, position in block.outer]
+            rest = [
+                next(space.dimension_values(position))
+                for position in range(len(prefix), space.num_dimensions())
+            ]
+            yield space.refinement(prefix + rest).apply(search.query), None
+            continue
+        picks = np.linspace(0, block.size - 1, num=min(block.size, per_block))
+        for candidate in np.unique(picks.astype(int)).tolist():
+            refinement = space.refinement(block.values(candidate))
+            yield refinement.apply(search.query), kernel.positions(block, candidate)
+            evaluated += 1
+            if evaluated >= limit:
+                return
+
+
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_candidate_mask_evaluation_matches_sqlite(name):
-    """The Naive+prov fast path selects the tuples sqlite returns for each of
-    a sample of candidate refinements."""
+    """The Naive+prov block kernel selects the tuples sqlite returns for each
+    of a sample of candidate refinements, down to the materialised result."""
     bundle = _bundle(name)
     constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
     search = NaiveProvenanceSearch(
         bundle.database, bundle.query, constraints, max_candidates=0
     )
-    search.search()  # runs _prepare, examining no candidates
-    assert search._fast is not None
-
-    from repro.core.refinement import RefinementSpace
-    from repro.provenance.lineage import annotate
-
-    annotated = annotate(bundle.query, bundle.database)
-    space = RefinementSpace(bundle.query, annotated)
+    search.search()  # builds the kernel, examining no candidates
+    assert search._kernel is not None
     sqlite = QueryExecutor(bundle.database, backend="sqlite")
-    for count, refinement in enumerate(space.enumerate()):
-        if count >= 40:
-            break
-        refined_query = refinement.apply(bundle.query)
-        fast = search._evaluate(refinement, refined_query)
-        _identical(fast, sqlite.evaluate(refined_query))
+    checked = 0
+    for refined_query, positions in _kernel_candidates(search, 40, per_block=40):
+        expected = sqlite.evaluate(refined_query)
+        if positions is None:
+            assert len(expected) < constraints.k_star
+            continue
+        _identical(search._materialize(positions, refined_query), expected)
+        checked += 1
+    assert checked >= min(40, search._space.size())
 
 
 def _any_group(bundle):
@@ -152,29 +176,23 @@ def _any_group(bundle):
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_sweep_positions_match_sqlite_evaluation(name):
-    """The sweep's threshold tables and subset chains select exactly the rows
-    sqlite returns for the refined query, candidate after candidate."""
-    from repro.core.refinement import RefinementSpace
-    from repro.provenance.lineage import annotate
-
+    """The kernel's selected rows of candidate after candidate, across the
+    blocks of the sweep, are the rows sqlite returns for the refined query;
+    the runs it skips select fewer than ``k*`` rows there."""
     bundle = _bundle(name)
     constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
     search = NaiveProvenanceSearch(
         bundle.database, bundle.query, constraints, max_candidates=0
     )
     search.search()
-    assert search._fast is not None
-
-    annotated = annotate(bundle.query, bundle.database)
-    space = RefinementSpace(bundle.query, annotated)
+    assert search._kernel is not None
     sqlite = QueryExecutor(bundle.database, backend="sqlite")
-    for count, refinement in enumerate(space.enumerate()):
-        if count >= 40:
-            break
-        refined_query = refinement.apply(bundle.query)
-        fast = search._fast.selected_positions(refined_query)
+    for refined_query, positions in _kernel_candidates(search, 200, per_block=10):
         expected = sqlite.evaluate(refined_query).relation.rows
-        assert search._base.take(fast).rows == expected
+        if positions is None:
+            assert len(expected) < constraints.k_star
+        else:
+            assert search._base.take(positions).rows == expected
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
