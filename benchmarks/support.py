@@ -22,6 +22,8 @@ import os
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
+from perfbench.run import stamp
+
 from repro.core import (
     CardinalityConstraint,
     ConstraintSet,
@@ -285,13 +287,18 @@ def print_records(title: str, records: list[RunRecord]) -> None:
 
     The series replaces any previous entry with the same title, so both
     ``latest.json`` and ``latest.txt`` always hold exactly one (the latest)
-    block per benchmark.
+    block per benchmark.  The JSON entry is stamped with what it was
+    measured on: commit, dirty flag, source digest, nproc and the Python,
+    NumPy, SciPy and HiGHS versions.
     """
     rows = [record.row() for record in records]
     print()
     print(f"=== {title} (scale={bench_scale()}) ===")
     for row in rows:
         print(row)
+    environment = stamp()
+    # Only the HTTP benchmark starts the server this part describes.
+    del environment["server_env"]
     os.makedirs(os.path.dirname(RESULTS_JSON_PATH), exist_ok=True)
     results = _load_results()
     results["series"][title] = {
@@ -299,6 +306,7 @@ def print_records(title: str, records: list[RunRecord]) -> None:
         "recorded_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
+        "stamp": environment,
         "records": [asdict(record) for record in records],
         "rows": rows,
     }

@@ -403,15 +403,6 @@ def _byte_cuts() -> np.ndarray:
 
 _BYTE_CUT = _byte_cuts()
 
-_COMPARISONS = {
-    Operator.LESS: np.less,
-    Operator.LESS_EQUAL: np.less_equal,
-    Operator.EQUAL: np.equal,
-    Operator.GREATER: np.greater,
-    Operator.GREATER_EQUAL: np.greater_equal,
-}
-
-
 def _pack(mask: np.ndarray) -> np.ndarray:
     """Bit-pack boolean rows: row ``r`` becomes bit ``r % 64`` of word ``r // 64``."""
     packed = np.packbits(mask, axis=-1, bitorder="little")
@@ -493,7 +484,7 @@ class _NumericDimension(_Dimension):
     def __init__(self, values: list, row_values: np.ndarray, operator: Operator) -> None:
         self.constants = np.asarray(values, dtype=float)
         self._row_values = row_values
-        self._compare = _COMPARISONS[operator]
+        self._compare = columnar.COMPARISONS[operator]
         super().__init__(values, row_values.shape[0])
 
     def _rows(self, positions: np.ndarray) -> np.ndarray:

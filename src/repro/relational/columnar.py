@@ -7,20 +7,24 @@ with two cached derived views per column:
 * a ``float64`` view (``None`` mapped to NaN) for numerical comparisons and
   stable sorting, and
 * a factorized integer-code view (value -> small int) for categorical
-  membership tests and DISTINCT de-duplication.
+  membership tests, group counts and DISTINCT de-duplication.
 
 Selection evaluates a :class:`~repro.relational.predicates.Conjunction` as one
 boolean mask per predicate AND-ed together, instead of materialising a dict
 per row.
 
 Derived stores produced by :meth:`ColumnStore.take` / :meth:`ColumnStore.head`
-/ :meth:`ColumnStore.project` are *deferred*: they record only the source
-store and the row coordinates, and gather a column (or a cached float/code
-view) the first time it is read, caching the result.  Chained derivations
-compose their coordinates so every store points straight at its eager root.
-This is what makes the exhaustive baselines cheap — a candidate refinement's
-result is a coordinate set over the shared ``~Q(D)`` store, and only the
-handful of columns its constraint counts actually touch are ever gathered.
+/ :meth:`ColumnStore.project` are *deferred*: they record only their eager
+root store and the row coordinates into it, and gather a column the first
+time it is read.  Chained derivations compose their coordinates, so every
+store points straight at its root.  The float and code views belong to the
+root: each is computed there once, and a derived store slices the root's view
+at its coordinates.  A code only identifies a value of the root's column, so
+the views are compared for equality and never read as positions in the
+derived store.  This is what makes the exhaustive baselines cheap — a
+candidate refinement's result is a coordinate set over the shared join, and
+its selection masks and top-k group counts read views the join's root built
+once.
 
 This is the memory backend's only engine; the parity tests hold it to the
 sqlite pushdown backend.
@@ -39,6 +43,16 @@ from repro.relational.predicates import (
     Operator,
 )
 from repro.relational.schema import Schema
+
+#: The NumPy comparison behind each numerical predicate operator.
+COMPARISONS = {
+    Operator.LESS: np.less,
+    Operator.LESS_EQUAL: np.less_equal,
+    Operator.EQUAL: np.equal,
+    Operator.GREATER: np.greater,
+    Operator.GREATER_EQUAL: np.greater_equal,
+}
+
 
 def _compose_coordinates(base, indices, parent_length: int):
     """Row coordinates equivalent to applying ``base`` then ``indices``.
@@ -60,14 +74,38 @@ def _compose_coordinates(base, indices, parent_length: int):
     return base[indices]
 
 
+def _float_view(values: list):
+    """``float64`` array of ``values`` (``None`` -> NaN); ``None`` if one is not a number."""
+    try:
+        return np.array(
+            [np.nan if value is None else float(value) for value in values],
+            dtype=float,
+        )
+    except (TypeError, ValueError):
+        return None
+
+
+def _factorize(values: list):
+    """``(codes, mapping)`` of ``values`` in first-seen order; ``None`` if one is unhashable."""
+    mapping: dict = {}
+    codes = np.empty(len(values), dtype=np.int64)
+    try:
+        for position, value in enumerate(values):
+            codes[position] = mapping.setdefault(value, len(mapping))
+    except TypeError:
+        return None
+    return codes, mapping
+
+
 class ColumnStore:
     """Column-wise storage of one relation's data.
 
     Arrays are ``object`` dtype and aligned with the schema; mutating them is
     forbidden by convention (relations are immutable).  A store is either
     *eager* (every column array present) or *deferred* (``_source`` holds the
-    eager parent store plus the row coordinates into it; columns and cached
-    views are gathered lazily on first access).
+    eager root store plus the row coordinates into it; columns are gathered
+    lazily on first access).  The float and code views are the root's,
+    computed there once.
     """
 
     __slots__ = ("schema", "length", "_arrays", "_numeric", "_codes", "_source")
@@ -81,9 +119,9 @@ class ColumnStore:
         self._source: tuple | None = None
 
     @classmethod
-    def _deferred(cls, schema: Schema, parent: "ColumnStore", indices, length: int) -> "ColumnStore":
+    def _deferred(cls, schema: Schema, root: "ColumnStore", indices, length: int) -> "ColumnStore":
         store = cls(schema, [None] * len(schema), length)
-        store._source = (parent, indices)
+        store._source = (root, indices)
         return store
 
     # -- construction ---------------------------------------------------------
@@ -119,56 +157,50 @@ class ColumnStore:
     # -- derived views ---------------------------------------------------------
 
     def numeric(self, name: str):
-        """``float64`` view of a column (``None`` -> NaN); ``None`` if impossible."""
+        """``float64`` view of a column (``None`` -> NaN); ``None`` if impossible.
+
+        The root's view sliced at this store's coordinates: a column with a
+        non-numeric value anywhere in the root has no view.
+        """
         if name in self._numeric:
             return self._numeric[name]
-        if self._source is not None:
-            parent, indices = self._source
-            if name in parent._numeric:
-                view = parent._numeric[name]
-                view = None if view is None else view[indices]
-                self._numeric[name] = view
-                return view
-        values = self.array(name).tolist()
-        try:
-            view = np.array(
-                [np.nan if value is None else float(value) for value in values],
-                dtype=float,
-            )
-        except (TypeError, ValueError):
-            view = None
+        if self._source is None:
+            view = _float_view(self.array(name).tolist())
+        else:
+            root, indices = self._source
+            view = root.numeric(name)
+            if view is not None:
+                view = view[indices]
         self._numeric[name] = view
         return view
 
     def codes(self, name: str):
-        """``(codes, mapping)`` factorization of a column; ``None`` if unhashable."""
+        """``(codes, mapping)`` factorization of a column; ``None`` if unhashable.
+
+        The root's factorization sliced at this store's coordinates:
+        ``mapping`` holds every value of the root's column.
+        """
         if name in self._codes:
             return self._codes[name]
-        if self._source is not None:
-            parent, indices = self._source
-            if name in parent._codes:
-                factorized = parent._codes[name]
-                if factorized is None:
-                    self._codes[name] = None
-                    return None
-                codes, mapping = factorized
-                result = (codes[indices], mapping)
-                self._codes[name] = result
-                return result
-        values = self.array(name).tolist()
-        mapping: dict = {}
-        codes = np.empty(self.length, dtype=np.int64)
-        try:
-            for position, value in enumerate(values):
-                codes[position] = mapping.setdefault(value, len(mapping))
-        except TypeError:
-            self._codes[name] = None
-            return None
-        result = (codes, mapping)
-        self._codes[name] = result
-        return result
+        if self._source is None:
+            factorized = _factorize(self.array(name).tolist())
+        else:
+            root, indices = self._source
+            factorized = root.codes(name)
+            if factorized is not None:
+                factorized = (factorized[0][indices], factorized[1])
+        self._codes[name] = factorized
+        return factorized
 
-    # -- derivations (propagate cached views) ----------------------------------
+    def _root_rows(self, stop: int):
+        """``(root, coordinates)`` of this store's first ``stop`` rows in its eager root."""
+        rows = slice(0, stop)
+        if self._source is None:
+            return self, rows
+        root, indices = self._source
+        return root, _compose_coordinates(indices, rows, root.length)
+
+    # -- derivations -------------------------------------------------------------
 
     def take(self, indices) -> "ColumnStore":
         """Rows at the given coordinates (a slice or an integer array).
@@ -177,16 +209,16 @@ class ColumnStore:
         Taking from a deferred store composes the coordinates, so derivation
         chains stay one hop from the eager root.
         """
-        if not isinstance(indices, (slice, np.ndarray)):
-            indices = np.asarray(indices, dtype=np.int64)
         if isinstance(indices, slice):
             length = len(range(*indices.indices(self.length)))
         else:
-            if indices.dtype == bool:
+            if not isinstance(indices, np.ndarray):
+                indices = np.asarray(indices, dtype=np.int64)
+            elif indices.dtype == bool:
                 # Boolean masks select rows; the derived length is the number
                 # of True entries, not the mask size.
-                indices = np.flatnonzero(indices)
-            length = int(indices.shape[0])
+                indices = indices.nonzero()[0]
+            length = len(indices)
         parent, coordinates = self, indices
         if self._source is not None:
             parent, base = self._source
@@ -197,31 +229,9 @@ class ColumnStore:
         return self.take(slice(0, max(k, 0)))
 
     def project(self, names: Sequence[str]) -> "ColumnStore":
-        """Restrict to a subset of columns (arrays and views are shared)."""
-        projected = self.schema.project(names)
-        if self._source is not None:
-            parent, indices = self._source
-            derived = ColumnStore._deferred(projected, parent, indices, self.length)
-            for position, name in enumerate(names):
-                array = self._arrays[self.schema.index_of(name)]
-                if array is not None:
-                    derived._arrays[position] = array
-                if name in self._numeric:
-                    derived._numeric[name] = self._numeric[name]
-                if name in self._codes:
-                    derived._codes[name] = self._codes[name]
-            return derived
-        derived = ColumnStore(
-            projected,
-            [self.array(name) for name in names],
-            self.length,
-        )
-        for name in names:
-            if name in self._numeric:
-                derived._numeric[name] = self._numeric[name]
-            if name in self._codes:
-                derived._codes[name] = self._codes[name]
-        return derived
+        """Restrict to a subset of columns: a deferred store over the same root rows."""
+        root, rows = self._root_rows(self.length)
+        return ColumnStore._deferred(self.schema.project(names), root, rows, self.length)
 
     def with_column(self, schema: Schema, values: Sequence) -> "ColumnStore":
         """A store extended with one appended column holding ``values``.
@@ -249,8 +259,12 @@ class ColumnStore:
     # -- vectorized operators ---------------------------------------------------
 
     def mask(self, conjunction: Conjunction):
-        """Boolean selection mask for a conjunction; ``None`` -> caller fallback."""
-        mask = np.ones(self.length, dtype=bool)
+        """Boolean selection mask for a conjunction; ``None`` -> caller fallback.
+
+        Every predicate's mask is a fresh array, so the first one is the
+        running mask and the rest are AND-ed into it.
+        """
+        mask = None
         for predicate in conjunction:
             if isinstance(predicate, NumericalPredicate):
                 part = self._numerical_mask(predicate)
@@ -258,7 +272,12 @@ class ColumnStore:
                 part = self._categorical_mask(predicate)
             if part is None:
                 return None
-            mask &= part
+            if mask is None:
+                mask = part
+            else:
+                mask &= part
+        if mask is None:
+            return np.ones(self.length, dtype=bool)
         return mask
 
     def _numerical_mask(self, predicate: NumericalPredicate):
@@ -268,19 +287,9 @@ class ColumnStore:
         values = self.numeric(predicate.attribute)
         if values is None:
             return None
-        constant = predicate.constant
-        operator = predicate.operator
         # NaN (was None) compares False under every operator, matching the
         # row path's "missing/None fails" rule.
-        if operator is Operator.LESS:
-            return values < constant
-        if operator is Operator.LESS_EQUAL:
-            return values <= constant
-        if operator is Operator.EQUAL:
-            return values == constant
-        if operator is Operator.GREATER:
-            return values > constant
-        return values >= constant
+        return COMPARISONS[predicate.operator](values, predicate.constant)
 
     def _categorical_mask(self, predicate: CategoricalPredicate):
         if predicate.attribute not in self.schema:
@@ -289,12 +298,13 @@ class ColumnStore:
         if factorized is None:
             return None
         codes, mapping = factorized
-        wanted = [mapping[value] for value in predicate.values if value in mapping]
-        if not wanted:
-            return np.zeros(self.length, dtype=bool)
-        if len(wanted) == 1:
-            return codes == wanted[0]
-        return np.isin(codes, np.array(wanted, dtype=np.int64))
+        # A lookup table over the codes: a value no row holds has no code.
+        member = np.zeros(len(mapping), dtype=bool)
+        for value in predicate.values:
+            code = mapping.get(value)
+            if code is not None:
+                member[code] = True
+        return member[codes]
 
     def argsort_by(self, name: str, descending: bool):
         """Stable sort order by one column, NULLs last; ``None`` -> fallback.
@@ -329,11 +339,22 @@ class ColumnStore:
             _, first = np.unique(stacked, axis=0, return_index=True)
         return np.sort(first)
 
-    def count_conditions(self, conditions: Mapping[str, object]):
-        """Rows satisfying every ``attribute == value`` condition; ``None`` -> fallback."""
-        mask = np.ones(self.length, dtype=bool)
+    def count_conditions(
+        self, conditions: Mapping[str, object], limit: int | None = None
+    ):
+        """Rows among the first ``limit`` (all when ``None``) satisfying every
+        ``attribute == value`` condition; ``None`` -> caller fallback.
+
+        Compares the root's codes at those rows' coordinates, so counting a
+        result's top-k gathers ``k`` codes per condition and nothing else.
+        """
+        count = self.length if limit is None else min(max(limit, 0), self.length)
+        root, rows = self._root_rows(count)
+        mask = None
         for attribute, value in conditions.items():
-            factorized = self.codes(attribute)
+            if attribute not in self.schema:
+                return None
+            factorized = root.codes(attribute)
             if factorized is None:
                 return None
             codes, mapping = factorized
@@ -343,15 +364,21 @@ class ColumnStore:
                 return None
             if code is None:
                 return 0
-            mask &= codes == code
-        return int(mask.sum())
+            part = codes[rows] == code
+            if mask is None:
+                mask = part
+            else:
+                mask &= part
+        if mask is None:
+            return count
+        return int(np.count_nonzero(mask))
 
 
 def combined_codes(store: ColumnStore, names: Sequence[str]):
     """A single ``int64`` array identifying each row's key over ``names``.
 
-    Rows with equal values in every key column share a code; codes are
-    assigned in first-seen order.  ``None`` when factorization is impossible.
+    Rows share a code exactly when they have equal values in every key
+    column.  ``None`` when factorization is impossible.
     """
     if not names:
         return None
@@ -370,4 +397,4 @@ def combined_codes(store: ColumnStore, names: Sequence[str]):
     return combined
 
 
-__all__ = ["ColumnStore", "combined_codes"]
+__all__ = ["COMPARISONS", "ColumnStore", "combined_codes"]

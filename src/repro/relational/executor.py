@@ -26,6 +26,7 @@ the parallel sweep engine — skip the data load entirely.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -160,8 +161,12 @@ class RankedResult:
         )
 
     def count_group_in_top_k(self, k: int, conditions: Mapping[str, object]) -> int:
-        """Number of top-``k`` rows matching equality ``conditions`` (vectorized)."""
-        return self.relation.head(k).group_count(conditions)
+        """Number of top-``k`` rows matching equality ``conditions``.
+
+        Counted on the root's codes at the result's first ``k`` coordinates:
+        no top-``k`` store or relation is built.
+        """
+        return self.relation.group_count(conditions, limit=k)
 
     def scores(self) -> list[float]:
         """Values of the ranking attribute, in rank order (``None`` scores as 0)."""
@@ -182,7 +187,11 @@ class QueryExecutor:
     same tables — the exhaustive baselines re-evaluate thousands of candidate
     refinements — skip the join and sort entirely.  Each cache holds one
     entry per query shape; swapping a relation in the database replaces the
-    stale entry on the next evaluation.
+    stale entry on the next evaluation.  The ordered-join entry also records
+    the shapes validated against it, so a repeated shape is not re-validated,
+    and the float and code views the selections and top-k counts read are
+    computed once on the join's eager root.  A warm evaluation then costs
+    the swap check, its predicate masks and one coordinate take.
 
     On the ``sqlite`` backend the join, selection, ordering and DISTINCT all
     run inside sqlite over indexed base tables; the executor only gathers the
@@ -284,15 +293,7 @@ class QueryExecutor:
         """Evaluate ``query`` and return its ranked result."""
         if self.backend == "sqlite":
             return self._evaluate_sqlite(query)
-        ordered_join = self._ordered_join(query)
-        if query.distinct and query.select:
-            # Warm the DISTINCT-key code views on the shared parent store
-            # before deriving the selection, so it inherits sliced views
-            # instead of re-running the per-row factorization per candidate.
-            parent_store = ordered_join.column_store()
-            for name in query.select:
-                parent_store.codes(name)
-        selected = ordered_join.select(query.where)
+        selected = self._ordered_join(query).select(query.where)
         if query.distinct and query.select:
             selected = self._deduplicate(selected, query.select)
         projected = (
@@ -388,34 +389,49 @@ class QueryExecutor:
     # -- helpers -------------------------------------------------------------------
 
     def _join(self, tables: Sequence[str]) -> Relation:
+        """The natural join of ``tables``, rebuilt when the database swaps one."""
         if not tables:
             raise QueryError("cannot evaluate a query over an empty table list")
+        tables = tuple(tables)
         with self._cache_lock:
             relations = [self.database.relation(name) for name in tables]
-            # The entry keeps the input relations alive so that an id() recorded
-            # here can never be reused by a replacement relation (which would make
-            # a stale entry look fresh); a swap replaces the whole entry instead.
-            ids = tuple(id(relation) for relation in relations)
-            cached = self._join_cache.get(tuple(tables))
-            if cached is None or cached[0] != ids:
+            # The entry keeps the input relations alive, so an identity check
+            # against them can never be fooled by a replacement allocated at a
+            # recycled address; a swap replaces the whole entry.
+            cached = self._join_cache.get(tables)
+            if cached is None or not all(map(operator.is_, relations, cached[0])):
                 joined = relations[0]
                 for relation in relations[1:]:
                     joined = joined.natural_join(relation)
-                self._join_cache[tuple(tables)] = cached = (ids, relations, joined)
-            return cached[2]
+                self._join_cache[tables] = cached = (relations, joined)
+            return cached[1]
 
     def _ordered_join(self, query: SPJQuery) -> Relation:
+        """The join of ``query.tables`` in ``ORDER BY`` order, ``query`` validated against it.
+
+        The entry records the shapes already validated against its join: the
+        predicate attributes and the projection, the rest of what
+        :meth:`_validate` reads being the entry's key.  A query of a known
+        shape costs only the swap check of :meth:`_join`.
+        """
+        key = (query.tables, query.order_by.attribute, query.order_by.descending)
+        shape = (tuple(query.predicate_attributes), query.select)
         with self._cache_lock:
             joined = self._join(query.tables)
-            self._validate(query, joined.schema)
-            key = (query.tables, query.order_by.attribute, query.order_by.descending)
             cached = self._ordered_cache.get(key)
-            if cached is None or cached[0] is not joined:
+            current = cached is not None and cached[0] is joined
+            if current and shape in cached[2]:
+                return cached[1]
+            self._validate(query, joined.schema)
+            if current:
+                _, ordered, shapes = cached
+            else:
                 ordered = joined.order_by(
                     query.order_by.attribute, descending=query.order_by.descending
                 )
-                self._ordered_cache[key] = cached = (joined, ordered)
-            return cached[1]
+                shapes = frozenset()
+            self._ordered_cache[key] = (joined, ordered, shapes | {shape})
+            return ordered
 
     @staticmethod
     def _deduplicate(ordered: Relation, select: Sequence[str]) -> Relation:

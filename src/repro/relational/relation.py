@@ -195,7 +195,7 @@ class Relation:
                 return self
             mask = self._columns().mask(condition)
             if mask is not None:
-                return self.take(np.flatnonzero(mask))
+                return self.take(mask.nonzero()[0])
             predicate = condition.matches
         else:
             predicate = condition
@@ -322,17 +322,20 @@ class Relation:
         """Number of rows satisfying a row-dict predicate."""
         return sum(1 for values in self.iter_dicts() if condition(values))
 
-    def group_count(self, conditions: Mapping[str, object]) -> int:
-        """Rows matching every ``attribute == value`` equality condition.
+    def group_count(
+        self, conditions: Mapping[str, object], limit: int | None = None
+    ) -> int:
+        """Rows among the first ``limit`` (all when ``None``) matching every
+        ``attribute == value`` equality condition.
 
         This is the vectorized membership count behind cardinality-constraint
         evaluation; missing attributes read as ``None`` (row semantics).
         """
-        if all(attribute in self.schema for attribute in conditions):
-            fast = self._columns().count_conditions(conditions)
-            if fast is not None:
-                return fast
-        return self.count_where(
+        fast = self._columns().count_conditions(conditions, limit)
+        if fast is not None:
+            return fast
+        relation = self if limit is None else self.head(limit)
+        return relation.count_where(
             lambda row: all(
                 row.get(attribute) == value for attribute, value in conditions.items()
             )

@@ -11,10 +11,11 @@ Endpoints:
 * ``GET /datasets`` — the registered dataset names.
 * ``GET /stats`` — admission, session pool, coalescer and shadow report.
 
-The server is a stock :class:`~http.server.ThreadingHTTPServer`: one thread
-per connection, all of them sharing one engine.  Concurrency safety is the
-layer below's job (locked executor caches, per-thread sqlite connections,
-coalesced duplicate solves) — the handler itself is stateless.
+The server is a :class:`~http.server.ThreadingHTTPServer` whose listen
+backlog is admission control's capacity (running plus queued requests): one
+thread per connection, all of them sharing one engine.  Concurrency safety
+is the layer below's job (locked executor caches, per-thread sqlite
+connections, coalesced duplicate solves) — the handler itself is stateless.
 
 Failure contract: *every* error answer is typed.  Oversized or malformed
 bodies get 413/400 (never a handler traceback), overload sheds with 429/503
@@ -177,7 +178,20 @@ class RefinementServer:
         self.max_body_bytes = max_body_bytes
         self.drain_timeout_s = drain_timeout_s
         handler = type("BoundHandler", (_Handler,), {"server_facade": self})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = ThreadingHTTPServer((host, port), handler, bind_and_activate=False)
+        # The listen backlog holds every connection admission control would
+        # admit (running plus queued): a burst beyond the stock backlog (5)
+        # would otherwise have its SYNs dropped and wait about a second for
+        # the retransmission, unseen by admission and by the deadline clock.
+        self._httpd.request_queue_size = (
+            self.admission.max_concurrency + self.admission.max_queue
+        )
+        try:
+            self._httpd.server_bind()
+            self._httpd.server_activate()
+        except BaseException:
+            self._httpd.server_close()
+            raise
         # daemon_threads: an in-flight solve must not block process exit.
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None

@@ -2,7 +2,8 @@
 
 :class:`NaiveProvenanceSearch` evaluates a block of consecutive candidates in
 a few NumPy calls.  :class:`NaiveSearch` on the sqlite backend evaluates one
-candidate at a time and is the reference.  On small instances of every
+candidate at a time and is the reference; ``NaiveSearch`` on the memory
+backend must give its answers exactly too.  On small instances of every
 registered dataset the two must agree bit for bit on the refinement, its
 distance and its deviation, and exactly on the candidates examined and on
 exhaustion: over the whole space, under a candidate budget that cuts inside a
@@ -139,6 +140,32 @@ def test_full_space_matches_per_candidate_naive(name, distance, epsilon):
     truth, prov = _pair(name, distance=distance, epsilon=epsilon)
     assert prov == truth
     assert prov[5], "the whole space is examined"
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+@pytest.mark.parametrize("distance", ["pred", "jaccard", "kendall"])
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_memory_naive_matches_the_sqlite_reference(name, distance, epsilon):
+    """``NaiveSearch`` on the memory backend's columnar engine, one
+    evaluation per candidate, gives the reference's answers exactly."""
+    bundle = _instance(name)
+    constraints = ConstraintSet(CONSTRAINTS[name])
+    truth, memory = (
+        _result(
+            NaiveSearch(
+                bundle.database,
+                bundle.query,
+                constraints,
+                distance=distance,
+                epsilon=epsilon,
+                jobs=1,
+                executor_backend=backend,
+            )
+        )
+        for backend in ("sqlite", "memory")
+    )
+    assert memory == truth
+    assert memory[5], "the whole space is examined"
 
 
 @pytest.mark.parametrize("distance", ["pred", "jaccard"])

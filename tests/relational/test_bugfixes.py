@@ -14,6 +14,7 @@ import pytest
 
 from repro.exceptions import QueryError
 from repro.relational import (
+    CategoricalPredicate,
     Conjunction,
     Database,
     NumericalPredicate,
@@ -67,6 +68,35 @@ class TestJoinCacheInvalidation:
         with executor._cache_lock:
             assert len(executor._join_cache) == 1
             assert len(executor._ordered_cache) == 1
+
+    def test_a_validated_shape_sees_a_swap_and_reads_the_new_root_views(self):
+        schema = Schema([categorical("id"), numerical("score")])
+        old = Relation("r", schema, [("a", 1), ("b", 2)])
+        database = Database([old])
+        query = SPJQuery(
+            tables=["r"],
+            where=Conjunction(
+                [CategoricalPredicate("id", ["a", "c"]), NumericalPredicate("score", ">=", 1)]
+            ),
+            order_by="score",
+            name="q",
+        )
+        executor = QueryExecutor(database, backend="memory")
+        for _ in range(2):
+            result = executor.evaluate(query)
+            assert result.relation.rows == [("a", 1)]
+        assert result.count_group_in_top_k(1, {"id": "a"}) == 1
+        assert old.column_store().codes("id")[1] == {"a": 0, "b": 1}
+
+        swapped = Relation("r", schema, [("c", 3), ("a", 1), ("b", 2)])
+        database.add(swapped)
+        result = executor.evaluate(query)
+        assert result.relation.rows == [("c", 3), ("a", 1)]
+        assert result.count_group_in_top_k(1, {"id": "c"}) == 1
+        # The result's views are sliced from the new root's, built from its
+        # rows; the old root's are left as they were.
+        assert result.relation.column_store().codes("id")[1] == {"c": 0, "a": 1, "b": 2}
+        assert old.column_store().codes("id")[1] == {"a": 0, "b": 1}
 
 
 class TestBackendSelection:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import law_students_database, law_students_query
+from repro.core import ConstraintSet, NaiveSearch, at_least, at_most
+from repro.datasets import law_students_database, law_students_query, load_dataset
 from repro.exceptions import QueryError
 from repro.relational import (
     CategoricalPredicate,
@@ -18,6 +19,7 @@ from repro.relational import (
     Schema,
     SPJQuery,
     SQLiteExecutor,
+    columnar,
     render_sql,
 )
 from repro.relational.schema import categorical, numerical
@@ -142,6 +144,52 @@ class TestExecutor:
         )
         with pytest.raises(QueryError):
             QueryExecutor(students_db).evaluate(query)
+
+
+class TestWarmExecutorShapes:
+    """One memory executor validates a query shape once; a repeat of the
+    shape costs its masks and the check that no relation was swapped."""
+
+    def test_an_unknown_attribute_added_to_a_validated_shape_raises(
+        self, students_db, scholarship
+    ):
+        executor = QueryExecutor(students_db, backend="memory")
+        expected = executor.evaluate(scholarship).relation.rows
+        unknown_predicate = scholarship.with_where(
+            Conjunction(list(scholarship.where) + [NumericalPredicate("Nope", ">=", 1)])
+        )
+        unknown_projection = SPJQuery(
+            tables=scholarship.tables,
+            where=scholarship.where,
+            order_by=scholarship.order_by,
+            select=list(scholarship.select) + ["Nope"],
+            distinct=scholarship.distinct,
+        )
+        for query in (unknown_predicate, unknown_projection) * 2:
+            with pytest.raises(QueryError):
+                executor.evaluate(query)
+        assert executor.evaluate(scholarship).relation.rows == expected
+
+    def test_naive_search_factorizes_each_root_column_at_most_once(self, monkeypatch):
+        factorized = []
+        factorize = columnar._factorize
+
+        def counting(values):
+            factorized.append(len(values))
+            return factorize(values)
+
+        monkeypatch.setattr(columnar, "_factorize", counting)
+        bundle = load_dataset("meps", num_rows=1200)
+        executor = QueryExecutor(bundle.database, backend="memory")
+        constraints = ConstraintSet([at_least(5, 10, Sex="F"), at_most(4, 10, Race="White")])
+        result = NaiveSearch(
+            bundle.database, bundle.query, constraints, epsilon=0.5, jobs=1, executor=executor
+        ).search()
+        assert result.exhausted
+        assert result.candidates_examined == result.space_size > 1000
+        # The two group attributes, each factorized once over the whole root
+        # (meps has no categorical predicate and no DISTINCT).
+        assert factorized == [len(bundle.database.relation("MEPS"))] * 2
 
 
 class TestSQLGeneration:

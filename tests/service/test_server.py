@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import statistics
 import time
 import urllib.error
@@ -195,9 +196,7 @@ class TestServerCliParity:
         cases = [
             (dataset, epsilon) for dataset in sorted(DATASET_CASES) for epsilon in EPSILONS
         ] * 2
-        # Ten connections at once, as with one case per dataset: a larger
-        # burst overflows the server's listen backlog (5) and can be reset.
-        with ThreadPoolExecutor(max_workers=2 * len(DATASET_CASES)) as pool:
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
             futures = {
                 pool.submit(
                     post_json,
@@ -230,7 +229,48 @@ class TestServerCliParity:
             assert "total_seconds" in response["timings"]
 
 
+def read_until_closed(connection: socket.socket) -> bytes:
+    chunks = []
+    while chunk := connection.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class TestServeProgrammatic:
+    def test_a_burst_admission_would_admit_is_answered_at_once(self):
+        # As many connections as admission control admits (running plus
+        # queued), all opened before the server accepts any: each must fit
+        # the listen backlog.  A connection that does not has its SYN
+        # dropped and resent about a second later.
+        server = RefinementServer(port=0)
+        capacity = server.admission.max_concurrency + server.admission.max_queue
+        connections = []
+        try:
+            for _ in range(capacity):
+                connection = socket.socket()
+                connections.append(connection)
+                connection.setblocking(False)
+                connection.connect_ex(("127.0.0.1", server.port))
+        finally:
+            server.start()
+        try:
+            started = time.perf_counter()
+            for connection in connections:
+                # Blocking again: a send waits for the handshake to finish.
+                connection.settimeout(10)
+                connection.sendall(
+                    b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+            replies = [read_until_closed(connection) for connection in connections]
+            elapsed = time.perf_counter() - started
+        finally:
+            for connection in connections:
+                connection.close()
+            server.shutdown()
+        assert all(reply.endswith(b'{"status": "ok"}') for reply in replies)
+        assert elapsed < 0.5
+
     def test_refine_facade_used_by_handler(self):
         engine = RefinementEngine()
         with RefinementServer(port=0, engine=engine) as running:
