@@ -206,14 +206,9 @@ def run_naive(
     epsilon: float = DEFAULT_EPSILON,
     timeout: float | None = None,
     bundle: DatasetBundle | None = None,
-    jobs: int | None = None,
     max_candidates: int | None = None,
 ) -> RunRecord:
-    """Run one exhaustive-search configuration and record its timings.
-
-    ``jobs`` shards the candidate space across worker processes
-    (``jobs=1``/``None`` is the serial path).
-    """
+    """Run one exhaustive-search configuration and record its timings."""
     bundle = bundle or dataset_bundle(dataset)
     if use_provenance:
         search = NaiveProvenanceSearch(
@@ -223,7 +218,6 @@ def run_naive(
             epsilon=epsilon,
             distance=distance,
             timeout=timeout if timeout is not None else TIMEOUT_SECONDS,
-            jobs=jobs,
             max_candidates=max_candidates,
         )
         algorithm = "NAIVE+PROV"
@@ -235,12 +229,9 @@ def run_naive(
             epsilon=epsilon,
             distance=distance,
             timeout=timeout if timeout is not None else TIMEOUT_SECONDS,
-            jobs=jobs,
             max_candidates=max_candidates,
         )
         algorithm = "NAIVE"
-    if search.jobs > 1:
-        algorithm += f"/j{search.jobs}"
     result = search.search()
     return RunRecord(
         dataset=dataset,

@@ -44,7 +44,6 @@ def meps_request(**overrides) -> RefineRequest:
         constraints=(CONSTRAINT,),
         dataset_parameters=(("num_rows", MEPS_ROWS),),
         method="naive+prov",
-        jobs=1,
     )
     defaults.update(overrides)
     return RefineRequest(**defaults)
@@ -57,7 +56,7 @@ def run_cold_cli() -> tuple[float, dict]:
     env["PYTHONPATH"] = os.path.join(repo_root, "src")
     # Pin the execution environment so cold and warm measure the same
     # configuration regardless of the CI job's backend matrix.
-    for variable in ("REPRO_EXECUTOR_BACKEND", "REPRO_EXECUTOR_DB", "REPRO_SOLVER_JOBS"):
+    for variable in ("REPRO_EXECUTOR_BACKEND", "REPRO_EXECUTOR_DB"):
         env.pop(variable, None)
     start = time.perf_counter()
     completed = subprocess.run(
@@ -65,7 +64,7 @@ def run_cold_cli() -> tuple[float, dict]:
             sys.executable, "-m", "repro", "refine",
             "--dataset", "meps", "--rows", str(MEPS_ROWS),
             "--at-least", "5@10:Sex=F",
-            "--method", "naive+prov", "--jobs", "1", "--json",
+            "--method", "naive+prov", "--json",
         ],
         capture_output=True,
         text=True,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import glob
 import json
 import os
 import platform
@@ -45,3 +47,48 @@ def test_every_series_is_stamped(tmp_path, monkeypatch):
             assert len(stamp["commit"]) == 40
             assert isinstance(stamp["dirty"], bool)
         assert len(stamp["source_sha256"]) == 64
+
+
+def _written_titles() -> tuple[set[str], set[str]]:
+    """The series titles the benchmarks write: ``(literals, f-string prefixes)``."""
+    literals: set[str] = set()
+    prefixes: set[str] = set()
+    for path in glob.glob(os.path.join(os.path.dirname(__file__), "*.py")):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            function = node.func
+            if isinstance(function, ast.Attribute):
+                name = function.attr
+            else:
+                name = getattr(function, "id", None)
+            if name != "print_records":
+                continue
+            title = node.args[0]
+            if isinstance(title, ast.Constant) and isinstance(title.value, str):
+                literals.add(title.value)
+            elif isinstance(title, ast.JoinedStr):
+                prefix = ""
+                for part in title.values:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    prefix += part.value
+                assert prefix, f"{path}: a title must start with literal text"
+                prefixes.add(prefix)
+    return literals, prefixes
+
+
+def test_every_recorded_series_is_still_written_by_a_benchmark():
+    """A series no benchmark writes any more can never be refreshed, so a
+    number in it describes code that is gone."""
+    with open(support.RESULTS_JSON_PATH) as handle:
+        titles = list(json.load(handle)["series"])
+    literals, prefixes = _written_titles()
+    stale = [
+        title
+        for title in titles
+        if title not in literals and not any(title.startswith(p) for p in prefixes)
+    ]
+    assert stale == []

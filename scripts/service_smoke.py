@@ -98,7 +98,7 @@ def cli_canonical(
     completed = subprocess.run(
         [sys.executable, "-m", "repro", "refine", "--dataset", dataset,
          *dataset_arguments, "--at-least", constraint, "--epsilon", str(epsilon),
-         "--method", "milp+opt", "--jobs", "1", "--json"],
+         "--method", "milp+opt", "--json"],
         capture_output=True,
         text=True,
         env=run_environment(),
@@ -134,7 +134,6 @@ def main() -> int:
                 ],
                 "epsilon": epsilon,
                 "method": "milp+opt",
-                "jobs": 1,
             }
             if parameters:
                 payload["dataset_parameters"] = parameters

@@ -44,13 +44,6 @@ ENV_VARS: tuple[EnvVar, ...] = (
         "backend when none is selected explicitly.",
     ),
     EnvVar(
-        "REPRO_SOLVER_JOBS",
-        "1",
-        SCOPE_RUNTIME,
-        "Worker processes for the naive/naive+prov candidate sweeps "
-        "(`jobs=1` is the serial reference path).",
-    ),
-    EnvVar(
         "REPRO_MILP_BACKEND",
         "(auto)",
         SCOPE_RUNTIME,
@@ -64,22 +57,6 @@ ENV_VARS: tuple[EnvVar, ...] = (
         "Set to 1 to wrap every registered lock-guarded structure in a "
         "checking proxy that raises on access without the owning lock held "
         "(the dynamic half of repro-lint's `lock-guard` rule).",
-    ),
-    EnvVar(
-        "REPRO_POOL_MAX_RESTARTS",
-        "2",
-        SCOPE_RUNTIME,
-        "Pool rebuilds the parallel sweep attempts after worker crashes "
-        "before degrading to the serial path (merge parity is preserved "
-        "either way).",
-    ),
-    EnvVar(
-        "REPRO_FAULT_WORKER_CRASH",
-        "(unset)",
-        SCOPE_CI,
-        "Arms the `worker-crash` injection point: a sweep-pool worker dies "
-        "with `os._exit` mid-shard. Value syntax: "
-        "`RATE[,attempts=N]` (see `repro.faults`).",
     ),
     EnvVar(
         "REPRO_FAULT_SQLITE_LOCK",
@@ -162,13 +139,6 @@ ENV_VARS: tuple[EnvVar, ...] = (
         SCOPE_BENCHMARK,
         "Comma-separated deadlines (seconds) the portfolio benchmark sweeps "
         "to record its incumbent-quality-vs-deadline curve.",
-    ),
-    EnvVar(
-        "REPRO_REQUIRE_PARALLEL_SPEEDUP",
-        "0",
-        SCOPE_CI,
-        "Set to 1 on >=2-CPU machines to make the parallel-sweep benchmark "
-        "fail (not just record) when jobs=2 is not faster than serial.",
     ),
     EnvVar(
         "REPRO_SERVICE_SPEEDUP",

@@ -82,11 +82,11 @@ LOCK_GUARDS: dict[str, GuardSpec] = {
 FORK_PICKLE_EXEMPT: dict[str, str] = {
     "_SQLiteConnectionPool": (
         "never pickled directly; QueryExecutor.__getstate__ drops the whole "
-        "pool and __setstate__/reset_connections rebuild it empty"
+        "pool and __setstate__ rebuilds it empty"
     ),
     "SQLiteExecutor": (
         "lives only inside _SQLiteConnectionPool, which the owning "
-        "QueryExecutor drops before pickling; workers reopen their own"
+        "QueryExecutor drops before pickling; an unpickled copy opens its own"
     ),
     "_InFlight": (
         "request-scoped leader/waiter pair; exists only inside "
@@ -94,7 +94,7 @@ FORK_PICKLE_EXEMPT: dict[str, str] = {
     ),
     "RequestCoalescer": (
         "server-resident: owned by the RefinementEngine facade, which is "
-        "never pickled (workers receive prepared searches, not the engine)"
+        "never pickled"
     ),
     "ShadowEngine": "server-resident rollout facade; never crosses a process",
     "DatasetSession": (
@@ -104,24 +104,23 @@ FORK_PICKLE_EXEMPT: dict[str, str] = {
     "SessionPool": "server-resident LRU over sessions; never pickled",
     "RaceControl": (
         "race-scoped shared state on threads of one PortfolioSolver.solve; "
-        "pool workers receive plain timeouts/budgets, never the control"
+        "every engine runs in the solving process, so it never crosses one"
     ),
     "PreparedProblem": (
         "held by a DatasetSession's prepared-MILP cache or one race's MILP "
-        "engine thread; MILPs are solved in-process, and pool workers "
-        "receive exhaustive searches, never a prepared problem"
+        "engine thread; MILPs are solved in-process, never in another one"
     ),
     "_AtomInterner": (
         "process-wide singleton with explicit os.register_at_fork hooks "
         "(lock held across fork, child re-creates it); never pickled"
     ),
     "FaultPlan": (
-        "process-local fault-injection plan: workers re-read their own "
-        "REPRO_FAULT_* environment at import, the parent's plan never ships"
+        "process-local fault-injection plan: each process reads its own "
+        "REPRO_FAULT_* environment at import, and a plan never ships"
     ),
     "AdmissionController": (
         "server-resident front door: owned by RefinementServer, which is "
-        "never pickled; workers never see the admission layer"
+        "never pickled"
     ),
 }
 

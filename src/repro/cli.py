@@ -16,11 +16,11 @@ Solve a refinement problem (the running example)::
         --at-least 3@6:Gender=F --at-most 1@3:Income=High \
         --epsilon 0 --distance pred --method milp+opt
 
-Run the provenance-accelerated exhaustive baseline across 4 worker
-processes against a persisted on-disk sqlite database::
+Run the provenance-accelerated exhaustive baseline against a persisted
+on-disk sqlite database::
 
     python -m repro refine --dataset meps --rows 1200 \
-        --at-least 5@10:Sex=F --method naive+prov --jobs 4 \
+        --at-least 5@10:Sex=F --method naive+prov \
         --executor-db /tmp/meps.sqlite
 
 Constraint syntax: ``BOUND@K:Attr=Value[,Attr2=Value2]`` — e.g. ``3@6:Gender=F``
@@ -147,7 +147,6 @@ def _build_request(args: argparse.Namespace):
         method=args.method,
         backend=args.backend,
         time_limit=args.time_limit,
-        jobs=args.jobs,
         max_candidates=args.max_candidates,
         num_solutions=args.num_solutions,
         output_size=args.output_size,
@@ -191,8 +190,7 @@ def _print_refine_response(response) -> int:
             f"[{response.method}/{response.distance_code}] {response.status} "
             f"candidates={stats['candidates_examined']} of {stats['space_size']} "
             f"setup={timings['setup_seconds']:.3f}s "
-            f"search={timings['search_seconds']:.3f}s "
-            f"jobs={stats['jobs']}"
+            f"search={timings['search_seconds']:.3f}s"
         )
         if not response.feasible:
             print(infeasible_note)
@@ -449,11 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["milp", "milp+opt", "naive", "naive+prov"],
         help="engine raced by --method portfolio (repeatable; default: "
         "milp+opt and naive+prov)",
-    )
-    refine_parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the naive/naive+prov candidate search "
-        "(default: REPRO_SOLVER_JOBS or 1; jobs=1 is the serial path)",
     )
     refine_parser.add_argument(
         "--max-candidates", type=int, default=None,

@@ -10,8 +10,8 @@ Most layers cannot thread an extra parameter through every call (the
 executor is shared by four engines with fixed signatures), so the deadline
 also travels *ambiently*: :func:`deadline_scope` binds it to the current
 thread and :func:`current_deadline` reads it back.  Only the request thread
-itself sees the binding — pool workers and race threads receive explicit
-per-task budgets instead, exactly like the pre-existing timeout plumbing.
+itself sees the binding — race threads receive explicit per-engine budgets
+instead, exactly like the pre-existing timeout plumbing.
 """
 
 from __future__ import annotations

@@ -25,10 +25,8 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core import parallel
 from repro.core.constraints import ConstraintSet
 from repro.core.distances import DistanceMeasure, PredicateDistance, get_distance
-from repro.core.parallel import ShardOutcome, ShardTask
 from repro.core.refinement import Refinement, RefinementSpace, candidate_digits
 from repro.provenance.lineage import AnnotatedDatabase, annotate_result
 from repro.relational import columnar
@@ -37,6 +35,10 @@ from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.predicates import Operator
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
+
+#: Strict-improvement tolerance: a candidate replaces the incumbent only when
+#: its distance is lower by more than this.
+IMPROVEMENT_EPSILON = 1e-12
 
 #: Cap, in bytes, on a block's working set: its packed selections,
 #: popcounts, running counts and temporaries.  With the row count of
@@ -91,10 +93,19 @@ class NaiveResult:
     search_seconds: float = 0.0
     total_seconds: float = 0.0
     space_size: int = 0
-    #: Sweep pools restarted after worker crashes (parallel runs only).
-    pool_restarts: int = 0
-    #: The sweep's tail ran serially after exhausting the restart budget.
-    degraded_to_serial: bool = False
+
+
+@dataclass
+class _SweepOutcome:
+    """Where a sweep over the candidate space ended."""
+
+    #: ``(distance_value, refinement, deviation)`` of the incumbent, if any.
+    best: tuple | None
+    examined: int
+    exhausted: bool
+    timed_out: bool = False
+    #: Stopped by the search's ``should_stop`` hook.
+    cancelled: bool = False
 
 
 class _BaseExhaustiveSearch:
@@ -111,7 +122,6 @@ class _BaseExhaustiveSearch:
         distance: DistanceMeasure | str = "pred",
         timeout: float | None = None,
         max_candidates: int | None = None,
-        jobs: int | None = None,
         executor_backend: str | None = None,
         executor_db: str | None = None,
         executor: QueryExecutor | None = None,
@@ -126,7 +136,6 @@ class _BaseExhaustiveSearch:
         self.distance = get_distance(distance)
         self.timeout = timeout
         self.max_candidates = max_candidates
-        self.jobs = parallel.resolve_jobs(jobs)
         # Portfolio-racing hooks (both optional; the defaults leave behaviour
         # byte-identical to the plain search).  ``should_stop`` is polled
         # between candidates (between blocks for Naive+prov) for cooperative
@@ -163,13 +172,7 @@ class _BaseExhaustiveSearch:
         setup_seconds = time.perf_counter() - setup_started
 
         search_started = time.perf_counter()
-        summary = None
-        if self.jobs > 1:
-            summary = parallel.run_sharded_search(
-                self, self.jobs, self.timeout, self.max_candidates
-            )
-        if summary is None:
-            summary = self._search_serial()
+        summary = self._sweep()
         search_seconds = time.perf_counter() - search_started
 
         result = NaiveResult(
@@ -180,8 +183,6 @@ class _BaseExhaustiveSearch:
             exhausted=summary.exhausted,
             timed_out=summary.timed_out,
             cancelled=summary.cancelled,
-            pool_restarts=summary.pool_restarts,
-            degraded_to_serial=summary.degraded_to_serial,
             setup_seconds=setup_seconds,
             search_seconds=search_seconds,
             total_seconds=setup_seconds + search_seconds,
@@ -195,8 +196,8 @@ class _BaseExhaustiveSearch:
             result.deviation = deviation
         return result
 
-    def _search_serial(self) -> "parallel.SweepSummary":
-        """The serial hot loop (also the ``jobs=1`` reference semantics)."""
+    def _sweep(self) -> _SweepOutcome:
+        """Examine the candidates one at a time, in enumeration order."""
         best: tuple[float, Refinement, float] | None = None
         examined = 0
         exhausted = True
@@ -218,30 +219,12 @@ class _BaseExhaustiveSearch:
             examined += 1
             candidate = self._examine(refinement)
             if candidate is not None and (
-                best is None or candidate[0] < best[0] - parallel.IMPROVEMENT_EPSILON
+                best is None or candidate[0] < best[0] - IMPROVEMENT_EPSILON
             ):
                 best = candidate
                 if self._on_incumbent is not None:
                     self._on_incumbent(best[0], best[1], best[2])
-        return parallel.SweepSummary(
-            best=best,
-            examined=examined,
-            exhausted=exhausted,
-            timed_out=timed_out,
-            cancelled=cancelled,
-        )
-
-    def __getstate__(self) -> dict:
-        # The racing hooks close over thread-local race state (locks, result
-        # queues) and must never cross a pickle/fork boundary; workers are
-        # bounded by plain shard deadlines and budgets instead.
-        state = self.__dict__.copy()
-        state["_should_stop"] = None
-        state["_on_incumbent"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        return _SweepOutcome(best, examined, exhausted, timed_out, cancelled)
 
     def _examine(self, refinement: Refinement) -> tuple[float, Refinement, float] | None:
         """Evaluate one candidate; ``(distance, refinement, deviation)`` if acceptable."""
@@ -265,50 +248,6 @@ class _BaseExhaustiveSearch:
                 self.constraints.k_star,
             )
         return (distance_value, refinement, deviation)
-
-    # -- parallel worker protocol ------------------------------------------------------
-
-    def evaluate_shard(self, task: ShardTask) -> ShardOutcome:
-        """Run the hot loop over one contiguous shard of the candidate space.
-
-        Called inside a pool worker on the fork-inherited (or unpickled)
-        prepared search object; returns only the shard's best candidate and
-        bookkeeping, never result relations.
-        """
-        best: tuple[float, Refinement, float] | None = None
-        examined = 0
-        exhausted = True
-        timed_out = False
-        for refinement in self._space.enumerate(first_values=task.first_values):
-            if task.deadline is not None and time.time() > task.deadline:
-                exhausted = False
-                timed_out = True
-                break
-            if task.budget is not None and examined >= task.budget:
-                exhausted = False
-                break
-            examined += 1
-            candidate = self._examine(refinement)
-            if candidate is not None and (
-                best is None or candidate[0] < best[0] - parallel.IMPROVEMENT_EPSILON
-            ):
-                best = candidate
-        return ShardOutcome(
-            index=task.index,
-            examined=examined,
-            best=best,
-            exhausted=exhausted,
-            timed_out=timed_out,
-        )
-
-    def reset_after_fork(self) -> None:
-        """Drop state that must not cross a process boundary.
-
-        SQLite connections are not fork-safe: each pool worker reopens its
-        own (an on-disk ``REPRO_EXECUTOR_DB`` makes that reopen skip the data
-        load entirely).
-        """
-        self._executor.reset_connections()
 
     # -- hooks ------------------------------------------------------------------------
 
@@ -608,32 +547,25 @@ class _BlockKernel:
             for predicate in query.categorical_predicates
         ]
 
-    def _dimension(self, position: int, values: list | None = None) -> _Dimension | None:
-        """The table of one dimension (over ``values`` when given); ``None``
-        for a categorical dimension too large to tabulate."""
+    def _dimension(self, position: int) -> _Dimension | None:
+        """The table of one dimension; ``None`` for a categorical dimension
+        too large to tabulate."""
         key = self._keys[position]
         if isinstance(key, tuple):
             attribute, operator = key
-            if values is None:
-                values = self._space.numerical_candidates(key)
+            values = self._space.numerical_candidates(key)
             return _NumericDimension(values, self._data.numeric[attribute], operator)
-        if values is None:
-            if self._space.dimension_size(position) > _MAX_TABULATED_SUBSETS:
-                return None
-            values = list(self._space.dimension_values(position))
+        if self._space.dimension_size(position) > _MAX_TABULATED_SUBSETS:
+            return None
+        values = list(self._space.dimension_values(position))
         return _SubsetDimension(values, *self._data.codes[key])
 
     # -- blocks ----------------------------------------------------------------------
 
-    def blocks(self, first_values=None) -> Iterator[_Block]:
-        """Consecutive runs of the enumeration order (of one shard when
-        ``first_values`` fixes the outermost dimension's values)."""
-        dimensions = list(self._dimensions)
+    def blocks(self) -> Iterator[_Block]:
+        """Consecutive runs of the enumeration order, first to last."""
+        dimensions = self._dimensions
         sizes = [self._space.dimension_size(position) for position in range(len(dimensions))]
-        if first_values is not None and dimensions:
-            first_values = list(first_values)
-            dimensions[0] = self._dimension(0, first_values)
-            sizes[0] = len(first_values)
         split = len(dimensions)
         inner = 1
         while split and dimensions[split - 1] is not None and inner < _MIN_INNER:
@@ -765,7 +697,7 @@ def _settled(best: tuple | None) -> bool:
     """Whether no candidate can improve on ``best`` any more: distances are
     non-negative, so nothing lies 1e-12 below an incumbent under 1e-12.
     The rest of the sweep is then only counted."""
-    return best is not None and best[0] - parallel.IMPROVEMENT_EPSILON < 0.0
+    return best is not None and best[0] - IMPROVEMENT_EPSILON < 0.0
 
 
 def _improvements(distance: np.ndarray, best: float | None) -> list[int]:
@@ -778,13 +710,13 @@ def _improvements(distance: np.ndarray, best: float | None) -> list[int]:
     those record lows and the rule itself runs on them alone.
     """
     if best is not None:
-        distance = np.where(distance < best - parallel.IMPROVEMENT_EPSILON, distance, np.inf)
+        distance = np.where(distance < best - IMPROVEMENT_EPSILON, distance, np.inf)
     record = np.isfinite(distance)
     record[1:] &= distance[1:] < np.minimum.accumulate(distance)[:-1]
     accepted = []
     for index in np.flatnonzero(record).tolist():
         value = float(distance[index])
-        if best is None or value < best - parallel.IMPROVEMENT_EPSILON:
+        if best is None or value < best - IMPROVEMENT_EPSILON:
             accepted.append(index)
             best = value
     return accepted
@@ -797,8 +729,7 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
     (:class:`_BlockKernel`): feasibility, deviation and the predicate
     distance of a whole block come from a few NumPy calls, and only a
     candidate that can beat the incumbent becomes a :class:`Refinement`.
-    The serial loop and :meth:`evaluate_shard` share :meth:`_sweep`, so
-    answers, candidate counts and the racing hooks are those of the
+    Answers, candidate counts and the racing hooks are those of the
     per-candidate loop.
     """
 
@@ -862,11 +793,22 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         # Codes are non-negative: -1, a value no row holds, matches nothing.
         return factorized[0] == code
 
-    def _search_serial(self) -> "parallel.SweepSummary":
-        if self._kernel is None:
-            return super()._search_serial()
+    def _sweep(self) -> _SweepOutcome:
+        """Walk the enumeration order a block at a time.
+
+        The stop hooks are polled before every block (and every few distance
+        evaluations inside one); ``max_candidates`` caps the candidates
+        examined, cutting inside a block if it must.  A candidate is
+        accepted by the per-candidate rule (``distance < best - 1e-12``, in
+        enumeration order), and only a strict running minimum of the
+        feasible distances can pass it, so the rule is applied in Python to
+        those record lows alone.
+        """
+        kernel = self._kernel
+        if kernel is None:
+            return super()._sweep()
         started = time.perf_counter()
-        should_stop, timeout = self._should_stop, self.timeout
+        should_stop, timeout, budget = self._should_stop, self.timeout, self.max_candidates
 
         def stop() -> str | None:
             if should_stop is not None and should_stop():
@@ -875,43 +817,11 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
                 return "timed_out"
             return None
 
-        return self._sweep(None, self.max_candidates, stop, self._on_incumbent)
-
-    def evaluate_shard(self, task: ShardTask) -> ShardOutcome:
-        if self._kernel is None:
-            return super().evaluate_shard(task)
-
-        def stop() -> str | None:
-            if task.deadline is not None and time.time() > task.deadline:
-                return "timed_out"
-            return None
-
-        summary = self._sweep(task.first_values, task.budget, stop, None)
-        return ShardOutcome(
-            index=task.index,
-            examined=summary.examined,
-            best=summary.best,
-            exhausted=summary.exhausted,
-            timed_out=summary.timed_out,
-        )
-
-    def _sweep(self, first_values, budget, stop, on_incumbent) -> "parallel.SweepSummary":
-        """Walk the (shard's) enumeration order a block at a time.
-
-        ``stop`` is polled before every block (and every few distance
-        evaluations inside one) and names why the sweep ends early;
-        ``budget`` caps the candidates examined, cutting inside a block if
-        it must.  A candidate is accepted by the per-candidate rule
-        (``distance < best - 1e-12``, in enumeration order), and only a
-        strict running minimum of the feasible distances can pass it, so
-        the rule is applied in Python to those record lows alone.
-        """
-        kernel = self._kernel
         best: tuple | None = None
         examined = 0
         reason = None
         exhausted = True
-        for block in kernel.blocks(first_values):
+        for block in kernel.blocks():
             reason = stop()
             if reason is not None:
                 exhausted = False
@@ -927,37 +837,31 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
                 feasible, deviation = kernel.evaluate(block)
                 candidates = np.flatnonzero(feasible)
                 if candidates.size and isinstance(self.distance, PredicateDistance):
-                    best = self._accept_records(
-                        block, candidates, deviation, best, on_incumbent
-                    )
+                    best = self._accept_records(block, candidates, deviation, best)
                 elif candidates.size:
                     best, done, reason = self._accept_outcomes(
-                        block, candidates, deviation, best, on_incumbent, stop
+                        block, candidates, deviation, best, stop
                     )
             examined += done
             if reason is not None or truncated:
                 exhausted = False
                 break
-        return parallel.SweepSummary(
-            best=best,
-            examined=examined,
-            exhausted=exhausted,
-            timed_out=reason == "timed_out",
-            cancelled=reason == "cancelled",
+        return _SweepOutcome(
+            best, examined, exhausted, reason == "timed_out", reason == "cancelled"
         )
 
-    def _accept_records(self, block, candidates, deviation, best, on_incumbent):
+    def _accept_records(self, block, candidates, deviation, best):
         """Apply the strict-improvement rule to a block's feasible candidates."""
         distance = self._kernel.distances(block, candidates)
         for index in _improvements(distance, None if best is None else best[0]):
             candidate = int(candidates[index])
             refinement = self._space.refinement(block.values(candidate))
             best = (float(distance[index]), refinement, float(deviation[candidate]))
-            if on_incumbent is not None:
-                on_incumbent(*best)
+            if self._on_incumbent is not None:
+                self._on_incumbent(*best)
         return best
 
-    def _accept_outcomes(self, block, candidates, deviation, best, on_incumbent, stop):
+    def _accept_outcomes(self, block, candidates, deviation, best, stop):
         """Outcome-based distances: the kernel is the feasibility prefilter,
         and each feasible candidate, in order, gets a materialised result
         and the scalar ``distance.evaluate``.
@@ -981,10 +885,10 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
                 self._materialize(positions, refined_query),
                 self.constraints.k_star,
             )
-            if best is None or value < best[0] - parallel.IMPROVEMENT_EPSILON:
+            if best is None or value < best[0] - IMPROVEMENT_EPSILON:
                 best = (value, refinement, float(deviation[candidate]))
-                if on_incumbent is not None:
-                    on_incumbent(*best)
+                if self._on_incumbent is not None:
+                    self._on_incumbent(*best)
         return best, block.size, None
 
     def _materialize(self, positions: np.ndarray, refined_query: SPJQuery) -> RankedResult:
@@ -998,4 +902,10 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         return RankedResult(query=refined_query, relation=relation, projected=projected)
 
 
-__all__ = ["MaskIndexData", "NaiveProvenanceSearch", "NaiveResult", "NaiveSearch"]
+__all__ = [
+    "IMPROVEMENT_EPSILON",
+    "MaskIndexData",
+    "NaiveProvenanceSearch",
+    "NaiveResult",
+    "NaiveSearch",
+]

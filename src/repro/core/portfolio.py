@@ -1,14 +1,12 @@
 """Anytime portfolio racing: race the refinement engines under one deadline.
 
 The engines this repository grew — warm-started MILP (``milp``/``milp+opt``),
-the sharded exhaustive baselines (``naive``/``naive+prov``) — have wildly
+the exhaustive baselines (``naive``/``naive+prov``) — have wildly
 dataset-dependent runtimes, so no single engine can promise a latency SLA.
 :class:`PortfolioSolver` converts "fast as the hardware allows" into an SLA
-knob: it starts every engine at race start on its own thread (each engine may
-fan its own work out over the existing multiprocessing sweep pool via
-``jobs``), streams incumbents back through one result queue, ends the race on
-the first proof, and returns the best *verified* incumbent when the budget
-expires.
+knob: it starts every engine at race start on its own thread, streams
+incumbents back through one result queue, ends the race on the first proof,
+and returns the best *verified* incumbent when the budget expires.
 
 The harness follows the generator/verifier/selector shape of the
 generate-verify-refine loop: engines *generate* incumbents, the portfolio
@@ -34,11 +32,11 @@ A proof ends the race
 Cancellation rules
 ------------------
 * Every engine run gets a wall-clock budget no larger than the remaining
-  deadline; the exhaustive engines pass it to their (possibly sharded)
-  sweep as ``timeout`` and the MILP engines as the backend ``time_limit``,
-  so a stuck engine can never hold the pool past the budget.
+  deadline; the exhaustive engines pass it to their sweep as ``timeout``
+  and the MILP engines as the backend ``time_limit``, so a stuck engine can
+  never run past the budget.
 * Cooperative cancellation: losers poll :meth:`RaceControl.should_stop`
-  between candidates (and between shard submissions on the pool path) and
+  between candidates (between blocks of candidates for ``naive+prov``) and
   exit with status ``cancelled`` as soon as a winner is proven.  A MILP
   engine polls between time slices, because a ``scipy.optimize.milp`` call
   cannot be interrupted.
@@ -70,7 +68,12 @@ from repro.core.distances import (
     PredicateDistance,
     get_distance,
 )
-from repro.core.naive import MaskIndexData, NaiveProvenanceSearch, NaiveSearch
+from repro.core.naive import (
+    IMPROVEMENT_EPSILON,
+    MaskIndexData,
+    NaiveProvenanceSearch,
+    NaiveSearch,
+)
 from repro.core.refinement import Refinement
 from repro.core.solver import RefinementSolver
 from repro.exceptions import DeadlineExceeded, RefinementError
@@ -95,12 +98,8 @@ STATUS_TIMEOUT = "timeout"
 STATUS_ERROR = "error"
 STATUS_CANCELLED = "cancelled"
 
-#: Feasibility tolerance shared with the serial search loop's epsilon check.
+#: Feasibility tolerance shared with the exhaustive searches' epsilon check.
 _DEVIATION_TOLERANCE = 1e-9
-
-#: Strict-improvement tolerance for incumbent comparison (mirrors the sweep
-#: engine's IMPROVEMENT_EPSILON).
-_IMPROVEMENT_EPSILON = 1e-12
 
 #: A MILP engine's budget is split into time slices that start at
 #: ``_MILP_SLICE_INITIAL`` seconds and double up to ``_MILP_SLICE_MAX``, with
@@ -125,7 +124,6 @@ class EngineSpec:
     method: str
     label: str = ""
     backend: str = "auto"
-    jobs: int | None = None
     max_candidates: int | None = None
 
     def __post_init__(self) -> None:
@@ -173,9 +171,8 @@ class WallClock:
 class RaceControl:
     """Shared state of one race: the proven bound, timeline, cancellation.
 
-    Thread-safe — engine adapters publish from worker threads while the
-    selection loop reads.  Never pickled: workers on the multiprocessing
-    sweep pool receive plain timeouts/budgets, not the control object.
+    Thread-safe — engine adapters publish from engine threads while the
+    selection loop reads.  It lives and dies with one race.
     """
 
     def __init__(self, clock: Clock, started_at: float) -> None:
@@ -219,7 +216,7 @@ class RaceControl:
             self._cancel_all = True
 
     def should_stop(self, label: str) -> bool:
-        """Cooperative-cancel poll, called between candidates/shards.
+        """Cooperative-cancel poll, called between candidates or blocks.
 
         The race cancels every engine at once, so ``label`` (the polling
         engine) does not change the answer.
@@ -615,7 +612,7 @@ class PortfolioSolver:
             report.statistics = dict(result.model_statistics)
             if result.feasible and (
                 best is None
-                or result.distance_value < best[0] - _IMPROVEMENT_EPSILON
+                or result.distance_value < best[0] - IMPROVEMENT_EPSILON
             ):
                 assert result.refinement is not None
                 assert result.deviation is not None
@@ -674,7 +671,6 @@ class PortfolioSolver:
             distance=self.distance,
             timeout=budget,
             max_candidates=spec.max_candidates,
-            jobs=spec.jobs,
             executor=self._executor,
             annotated=self._annotated,
             should_stop=control.stopper(label),
@@ -758,7 +754,7 @@ class PortfolioSolver:
         refinement: Refinement,
     ) -> None:
         current = candidates.get(label)
-        if current is None or distance < current.distance - _IMPROVEMENT_EPSILON:
+        if current is None or distance < current.distance - IMPROVEMENT_EPSILON:
             candidates[label] = _Candidate(
                 distance=float(distance),
                 spec_index=order.get(label, len(order)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -248,45 +248,16 @@ class RefinementSpace:
     def categorical_domain(self, attribute: str) -> list[object]:
         return list(self._categorical_domains[attribute])
 
-    # -- sharding support (parallel sweep engine) ------------------------------------
-
     def num_dimensions(self) -> int:
         """Number of enumeration dimensions (numerical keys + categorical attributes)."""
         return len(self._numerical_candidates) + len(self._categorical_domains)
-
-    def first_dimension_size(self) -> int:
-        """Candidate count of the outermost enumeration dimension.
-
-        May be astronomically large for a categorical-first space (``2^d - 1``
-        subsets); callers must treat it as a number, never materialise it.
-        """
-        return self.dimension_size(0) if self.num_dimensions() else 0
-
-    def first_dimension_values(self) -> Iterator:
-        """The outermost dimension's candidate values, in enumeration order.
-
-        Numerical constants for a numerical-first space, lazily generated
-        value subsets (nearest-to-original first) for a categorical-first one.
-        """
-        return self.dimension_values(0) if self.num_dimensions() else iter(())
-
-    def tail_size(self) -> int:
-        """Number of candidates per outermost-dimension value (inner cross product).
-
-        Together with :meth:`first_dimension_values` this gives exact global
-        candidate offsets for contiguous shards of the enumeration order, so a
-        parallel search can reproduce ``max_candidates`` truncation exactly.
-        """
-        return math.prod(
-            self.dimension_size(position) for position in range(1, self.num_dimensions())
-        )
 
     # -- enumeration -----------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Refinement]:
         return self.enumerate()
 
-    def enumerate(self, first_values: Iterable | None = None) -> Iterator[Refinement]:
+    def enumerate(self) -> Iterator[Refinement]:
         """Lazily enumerate every candidate refinement.
 
         The dimensions of :meth:`dimensions` nest outermost first, so the last
@@ -296,12 +267,6 @@ class RefinementSpace:
         first (as a human would).  Nothing is materialised up front: for a
         categorical domain of 114 values (Astronauts) the space has ~2^114
         members and the baselines rely on their timeout to stop early.
-
-        ``first_values`` restricts the *outermost* dimension to the given
-        candidate values (in the given order) instead of its full list — the
-        sharding hook of the parallel sweep engine.  A shard built from
-        consecutive outer values is a contiguous block of the full enumeration
-        order.
         """
         count = self.num_dimensions()
 
@@ -309,11 +274,7 @@ class RefinementSpace:
             if position == count:
                 yield self.refinement(chosen)
                 return
-            if position == 0 and first_values is not None:
-                values = iter(first_values)
-            else:
-                values = self.dimension_values(position)
-            for value in values:
+            for value in self.dimension_values(position):
                 yield from expand(position + 1, chosen + (value,))
 
         return expand(0, ())

@@ -5,8 +5,8 @@ layer and the CLI:
 
 ``retryable``
     Whether the same request may succeed if simply sent again (transient
-    overload, a locked store, a crashed worker) — fatal errors (malformed
-    requests, proven-impossible problems) must not be retried.
+    overload, a locked store, a failing solver backend) — fatal errors
+    (malformed requests, proven-impossible problems) must not be retried.
 ``http_status`` / ``error_code``
     How the error serializes onto the wire: the HTTP status the server
     answers with and a stable machine-readable code in the JSON body
@@ -150,12 +150,6 @@ class DrainingError(AdmissionError):
 
     http_status = 503
     error_code = "draining"
-
-
-class WorkerPoolError(RetryableError):
-    """Raised when the parallel sweep pool is lost beyond recovery."""
-
-    error_code = "worker_pool"
 
 
 class StoreError(ReproError):

@@ -1,9 +1,9 @@
 """The fault-injection registry: every injection point, declared once.
 
-Chaos testing needs failures on demand — a crashed pool worker, a locked or
-corrupted sqlite store, a backend that blows up, a solve that crawls — but
-production code must pay *nothing* for the capability when it is off.  This
-module is the contract between the two:
+Chaos testing needs failures on demand — a locked or corrupted sqlite store,
+a backend that blows up, a solve that crawls — but production code must pay
+*nothing* for the capability when it is off.  This module is the contract
+between the two:
 
 * :data:`INJECTION_POINTS` declares every site the codebase can fail at,
   with the ``REPRO_FAULT_*`` environment variable that arms it (the
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from repro.exceptions import ReproError, SolverError
 
 #: Kinds of failure an injection point can produce.
-KIND_CRASH = "crash"  # hard process death (os._exit) — pool workers only
 KIND_RAISE = "raise"  # raise the registered exception
 KIND_SLEEP = "sleep"  # inject latency
 
@@ -63,13 +62,6 @@ class InjectionPoint:
 
 
 INJECTION_POINTS: tuple[InjectionPoint, ...] = (
-    InjectionPoint(
-        name="worker-crash",
-        env="REPRO_FAULT_WORKER_CRASH",
-        kind=KIND_CRASH,
-        site="core/parallel.py:_run_shard (pool workers only)",
-        description="a sweep-pool worker dies mid-shard with os._exit",
-    ),
     InjectionPoint(
         name="sqlite-lock",
         env="REPRO_FAULT_SQLITE_LOCK",
@@ -233,9 +225,7 @@ class FaultPlan:
         """Perform the registered failure if the point decides to fire.
 
         ``raise``-kind points raise their registered exception; ``sleep``
-        points inject latency; ``crash``-kind points call ``os._exit`` — the
-        caller is responsible for only placing crash sites inside disposable
-        worker processes.
+        points inject latency.
         """
         config = self._configs.get(name)
         if config is None:
@@ -248,10 +238,6 @@ class FaultPlan:
         if point.kind == KIND_SLEEP:
             time.sleep(config.seconds)
             return
-        if point.kind == KIND_CRASH:
-            # A hard death, not an exception: models SIGKILL/OOM on a pool
-            # worker.  os._exit skips finally blocks and atexit handlers.
-            os._exit(17)
         assert point.exception is not None
         raise point.exception(point.message)
 
@@ -285,7 +271,6 @@ def should_fire(name: str, key: object = 0, attempt: int = 0) -> bool:
 
 __all__ = [
     "INJECTION_POINTS",
-    "KIND_CRASH",
     "KIND_RAISE",
     "KIND_SLEEP",
     "FaultConfig",

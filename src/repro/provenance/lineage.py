@@ -85,11 +85,10 @@ class _AtomInterner:
     """Process-wide intern tables for lineage atoms.
 
     Repeated annotations of the same workload — benchmark sweeps, the MILP
-    and the baselines sharing a query, re-annotation inside pool workers —
-    share one atom object per distinct ``(attribute, value)`` instead of
-    re-allocating per annotation.  A lock makes the tables thread-safe, and
-    the ``os.register_at_fork`` hooks keep the interner safe to reuse after
-    ``fork`` (the parallel sweep engine forks workers): the lock is held
+    and the baselines sharing a query — share one atom object per distinct
+    ``(attribute, value)`` instead of re-allocating per annotation.  A lock
+    makes the tables thread-safe, and the ``os.register_at_fork`` hooks keep
+    the interner safe to reuse in a child of a ``fork``: the lock is held
     across the fork so a child can never inherit it mid-update, and the child
     re-creates its own released lock.  The tables hold only immutable atoms,
     so the inherited contents stay valid.

@@ -20,8 +20,8 @@ The sqlite backend can be *persistent*: ``db_path=`` (or the
 ``REPRO_EXECUTOR_DB`` environment variable, which also implies the sqlite
 backend when none is selected explicitly) points it at an on-disk database
 file.  The indexed tables are written once and fingerprint-validated on every
-subsequent open, so repeated benchmark processes — and the forked workers of
-the parallel sweep engine — skip the data load entirely.
+subsequent open, so a later process (a benchmark re-run, a restarted server)
+skips the data load entirely.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class QueryExecutor:
         self._sqlite_pool = _SQLiteConnectionPool()
 
     def _rearm_caches(self) -> None:
-        """Fresh cache lock, caches re-wrapped (post-fork/unpickle only)."""
+        """Fresh cache lock, caches re-wrapped (unpickle only)."""
         self._cache_lock = threading.RLock()
         with self._cache_lock:
             self._join_cache = guard_mapping(
@@ -262,19 +262,6 @@ class QueryExecutor:
                 self._cache_lock,
                 "QueryExecutor._ordered_cache",
             )
-
-    def reset_connections(self) -> None:
-        """Drop sqlite connections (and re-arm the locks) after a fork.
-
-        SQLite connections must not be used across ``fork``; the child lazily
-        reopens its own on first use — against ``db_path`` that reopen
-        fingerprint-validates the persisted tables and skips the data load.
-        The cache lock is re-created too: the fork may have happened while
-        another thread of the parent held it, and the copy would then be
-        locked forever in the child.
-        """
-        self._rearm_caches()
-        self._sqlite_pool = _SQLiteConnectionPool()
 
     def close_connections(self) -> None:
         """Close every pooled sqlite connection (session teardown)."""

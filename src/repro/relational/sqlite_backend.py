@@ -24,12 +24,11 @@ Persistence: pointing the executor at a file (``path=`` /
 ``REPRO_EXECUTOR_DB``) makes the indexed database survive the process.  Each
 table is stored together with a content fingerprint; a later process that
 opens the same file with the same data *adopts* the stored table instead of
-reloading it, so repeated benchmark runs — and the forked workers of the
-parallel sweep engine — skip the load phase entirely.  The fingerprint hashes
-the schema, the row count and a deterministic sample of rows; a persisted
-file is therefore assumed to be dedicated to one dataset configuration
-(within one process, swapped relations are still tracked by object identity
-and always reloaded).
+reloading it, so repeated benchmark runs skip the load phase entirely.  The
+fingerprint hashes the schema, the row count and a deterministic sample of
+rows; a persisted file is therefore assumed to be dedicated to one dataset
+configuration (within one process, swapped relations are still tracked by
+object identity and always reloaded).
 """
 
 from __future__ import annotations
@@ -136,8 +135,9 @@ class SQLiteExecutor:
         self._window_functions = sqlite3.sqlite_version_info >= (3, 25, 0)
         try:
             if self._persistent:
-                # Concurrent pool workers may open the file while the parent
-                # is still writing; wait for the writer instead of failing.
+                # Another connection or process may open the file while a
+                # writer is still loading it; wait for the writer instead of
+                # failing.
                 self.connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
                 self.connection.execute(
                     "CREATE TABLE IF NOT EXISTS __repro_fingerprints "

@@ -22,6 +22,8 @@ constraints (:func:`original_fits`) is answered with that query, unsolved.
 from __future__ import annotations
 
 import json
+import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
@@ -146,7 +148,6 @@ class RefineRequest:
     method: str = "milp+opt"
     backend: str = "auto"
     time_limit: float | None = None
-    jobs: int | None = None
     max_candidates: int | None = None
     num_solutions: int = 1
     output_size: int | None = None
@@ -191,10 +192,23 @@ class RefineRequest:
             )
         if self.num_solutions < 1:
             raise RefinementError("num_solutions must be at least 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise RefinementError(
-                "deadline_s must be positive (the request's wall-clock SLA)"
+                f"epsilon must be a finite number >= 0, got {self.epsilon!r}"
             )
+        for name in ("time_limit", "deadline_s"):
+            value = getattr(self, name)
+            # Waits on the budget (a race's report queue, a coalesced
+            # waiter's event) refuse timeouts above threading.TIMEOUT_MAX.
+            if value is not None and not 0 < value <= threading.TIMEOUT_MAX:
+                raise RefinementError(
+                    f"{name} must be positive and at most "
+                    f"{threading.TIMEOUT_MAX:g} seconds, got {value!r}"
+                )
+        for name in ("max_candidates", "output_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise RefinementError(f"{name} must be at least 1, got {value!r}")
         if self.method == "portfolio":
             if self.deadline_s is None:
                 raise RefinementError(
@@ -223,7 +237,6 @@ class RefineRequest:
             self.method,
             self.backend,
             self.time_limit,
-            self.jobs,
             self.max_candidates,
             self.num_solutions,
             self.output_size,
@@ -253,7 +266,7 @@ class RefineRequest:
         }
         if self.dataset_parameters:
             data["dataset_parameters"] = dict(self.dataset_parameters)
-        for name in ("time_limit", "jobs", "max_candidates", "output_size", "deadline_s"):
+        for name in ("time_limit", "max_candidates", "output_size", "deadline_s"):
             value = getattr(self, name)
             if value is not None:
                 data[name] = value
@@ -275,6 +288,13 @@ class RefineRequest:
             dataset = str(data["dataset"])
         except KeyError:
             raise RefinementError("refine request is missing 'dataset'") from None
+        if data.get("jobs") not in (None, 1):
+            # Older clients sent a worker count; 1 was the only value that
+            # meant what every search does now.
+            raise RefinementError(
+                f"jobs={data['jobs']!r} is not accepted: searches run in the "
+                "serving process (send jobs 1 or leave it out)"
+            )
         parameters = dict(data.get("dataset_parameters") or {})
         return cls(
             dataset=dataset,
@@ -287,7 +307,6 @@ class RefineRequest:
             time_limit=(
                 None if data.get("time_limit") is None else float(data["time_limit"])
             ),
-            jobs=None if data.get("jobs") is None else int(data["jobs"]),
             max_candidates=(
                 None
                 if data.get("max_candidates") is None
@@ -554,7 +573,6 @@ class RefinementEngine:
             EngineSpec(
                 method=name,
                 backend=request.backend,
-                jobs=request.jobs,
                 max_candidates=request.max_candidates,
             )
             for name in (request.engines or DEFAULT_ENGINES)
@@ -690,7 +708,6 @@ class RefinementEngine:
             distance=request.distance,
             timeout=self._clamped_limit(request.time_limit, "the exhaustive search"),
             max_candidates=request.max_candidates,
-            jobs=request.jobs,
             executor=session.executor,
             annotated=session.annotated(),
         )
@@ -714,7 +731,6 @@ class RefinementEngine:
                 "candidates_examined": result.candidates_examined,
                 "space_size": result.space_size,
                 "exhausted": result.exhausted,
-                "jobs": search.jobs,
             },
             timings={
                 "setup_seconds": result.setup_seconds,

@@ -98,14 +98,6 @@ class TestExecutorIntegration:
             clone._join_cache.get(("r",))
         assert len(clone.evaluate(query)) == 2
 
-    def test_reset_connections_keeps_the_proxies_armed(self, debug_on):
-        executor, query = build_executor()
-        executor.evaluate(query)
-        executor.reset_connections()
-        with pytest.raises(LockAssertionError):
-            executor._join_cache.get(("r",))
-        assert len(executor.evaluate(query)) == 2
-
 
 class TestCoalescerIntegration:
     def test_inflight_map_is_guarded(self, debug_on):

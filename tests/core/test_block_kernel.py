@@ -6,8 +6,8 @@ candidate at a time and is the reference; ``NaiveSearch`` on the memory
 backend must give its answers exactly too.  On small instances of every
 registered dataset the two must agree bit for bit on the refinement, its
 distance and its deviation, and exactly on the candidates examined and on
-exhaustion: over the whole space, under a candidate budget that cuts inside a
-block, and with ``jobs=2``.  They must also agree on the racing hooks: the
+exhaustion: over the whole space and under a candidate budget that cuts
+inside a block.  They must also agree on the racing hooks: the
 incumbent stream call for call, and cancellation between blocks.  The
 kernel's blocks list the candidates of ``RefinementSpace.enumerate()`` in its
 order, and its predicate-distance terms sum to ``evaluate_refinement`` bit
@@ -96,18 +96,10 @@ def _pair(name, **options):
     """``(NaiveSearch on sqlite, NaiveProvenanceSearch)`` outcomes."""
     bundle = _instance(name)
     constraints = ConstraintSet(CONSTRAINTS[name])
-    prov_jobs = options.pop("prov_jobs", 1)
     truth = NaiveSearch(
-        bundle.database,
-        bundle.query,
-        constraints,
-        jobs=1,
-        executor_backend="sqlite",
-        **options,
+        bundle.database, bundle.query, constraints, executor_backend="sqlite", **options
     )
-    prov = NaiveProvenanceSearch(
-        bundle.database, bundle.query, constraints, jobs=prov_jobs, **options
-    )
+    prov = NaiveProvenanceSearch(bundle.database, bundle.query, constraints, **options)
     return _result(truth), _result(prov)
 
 
@@ -158,7 +150,6 @@ def test_memory_naive_matches_the_sqlite_reference(name, distance, epsilon):
                 constraints,
                 distance=distance,
                 epsilon=epsilon,
-                jobs=1,
                 executor_backend=backend,
             )
         )
@@ -187,21 +178,10 @@ def test_rows_packed_per_block_match_the_tables(monkeypatch, name, distance):
     assert prov == truth
 
 
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_two_jobs_match_per_candidate_naive(name):
-    truth, prov = _pair(name, distance="pred", epsilon=0.5, prov_jobs=2)
-    assert prov == truth
-    budget = _inside_a_block(name)
-    truth, prov = _pair(
-        name, distance="pred", epsilon=0.5, prov_jobs=2, max_candidates=budget
-    )
-    assert prov == truth
-
-
 # -- enumeration order ---------------------------------------------------------------
 
 
-def _listed(search, first_values=None, limit=ORDER_PREFIX):
+def _listed(search, limit=ORDER_PREFIX):
     """Pair the kernel's blocks with ``enumerate()``, candidate by candidate.
 
     A block the kernel skips (its outer values leave fewer than ``k*`` rows)
@@ -209,9 +189,9 @@ def _listed(search, first_values=None, limit=ORDER_PREFIX):
     carry its outer values.
     """
     space = search._space
-    enumerated = space.enumerate(first_values=first_values)
+    enumerated = space.enumerate()
     compared = 0
-    for block in search._kernel.blocks(first_values):
+    for block in search._kernel.blocks():
         take = min(block.size, limit - compared)
         if block.base is None:
             prefix = tuple(dimension.values[position] for dimension, position in block.outer)
@@ -257,22 +237,29 @@ def test_blocks_list_the_enumeration_in_order(name):
     assert compared == min(ORDER_PREFIX, search._space.size())
 
 
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_shard_blocks_list_the_shard_in_order(name):
-    search = _order_search(name)
-    outer = list(itertools.islice(search._space.first_dimension_values(), 2, 5))
-    _listed(search, first_values=outer)
+def _first_outer_value(block):
+    dimension, position = block.outer[0]
+    return dimension.values[position]
 
 
 def test_skipped_runs_keep_their_place_in_the_order():
     search = _order_search("law_students", skipping=True)
     assert sum(block.size for block in search._kernel.blocks()) == search._space.size()
-    # Two outer values whose runs mix skipped and evaluated blocks.
-    outer = list(itertools.islice(search._space.first_dimension_values(), 5, 7))
-    blocks = list(search._kernel.blocks(outer))
+    # From the start through the whole run of the first outer value with an
+    # evaluated block: the leading skipped runs, then a run that mixes
+    # skipped and evaluated blocks.
+    blocks, run = [], None
+    for block in search._kernel.blocks():
+        if run is not None and _first_outer_value(block) != run:
+            break
+        blocks.append(block)
+        if run is None and block.base is not None:
+            run = _first_outer_value(block)
     assert any(block.base is None for block in blocks)
     assert any(block.base is not None for block in blocks)
-    _listed(search, first_values=outer, limit=sum(block.size for block in blocks))
+    mixed = [block for block in blocks if _first_outer_value(block) == run]
+    assert any(block.base is None for block in mixed)
+    _listed(search, limit=sum(block.size for block in blocks))
 
 
 # -- racing hooks --------------------------------------------------------------------
@@ -295,7 +282,6 @@ def test_incumbent_stream_matches_per_candidate_naive(name, distance):
             constraints,
             epsilon=0.5,
             distance=distance,
-            jobs=1,
             on_incumbent=lambda *incumbent, calls=calls: calls.append(incumbent),
             **options,
         ).search()
@@ -431,8 +417,6 @@ def test_space_counts_subsets_when_an_original_value_has_no_tuple():
     query = _with_region(bundle, {"GL", "ZZ"})
     space = RefinementSpace(query, annotate(query, bundle.database))
     assert space.size() == sum(1 for _ in space.enumerate()) == 6720
-    first = next(space.first_dimension_values())
-    assert space.tail_size() == sum(1 for _ in space.enumerate(first_values=[first]))
     constraints = ConstraintSet(CONSTRAINTS["law_students"])
 
     def run(**options):
@@ -441,11 +425,7 @@ def test_space_counts_subsets_when_an_original_value_has_no_tuple():
         ).search()
 
     assert run().candidates_examined == run().space_size == 6720
-    assert (
-        run(max_candidates=3150, jobs=2).candidates_examined
-        == run(max_candidates=3150, jobs=1).candidates_examined
-        == 3150
-    )
+    assert run(max_candidates=3150).candidates_examined == 3150
 
 
 def test_space_counts_the_synthesized_tpch_copy_without_its_region():

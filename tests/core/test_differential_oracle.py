@@ -167,13 +167,12 @@ def test_engines_agree_with_exhaustive_search(monkeypatch, seed):
         constraints,
         epsilon=epsilon,
         distance=distance,
-        jobs=1,
         executor_backend="sqlite",
     ).search()
     assert truth.exhausted
 
     prov = NaiveProvenanceSearch(
-        database, query, constraints, epsilon=epsilon, distance=distance, jobs=1
+        database, query, constraints, epsilon=epsilon, distance=distance
     ).search()
     assert prov.exhausted and prov.feasible == truth.feasible
     if truth.feasible:
@@ -231,7 +230,6 @@ def test_as_is_rule_fires_only_on_a_zero_optimum(seed):
         constraints,
         epsilon=epsilon,
         distance=distance,
-        jobs=1,
         executor_backend="sqlite",
     ).search()
     assert truth.exhausted

@@ -1,7 +1,6 @@
 """Parity oracles for the portfolio racer on every registered dataset.
 
-Two contracts, checked against the same reduced instances the jobs-parity
-suite uses (``tests/core/test_parallel_jobs.py``):
+Two contracts, checked on reduced instances of every registered dataset:
 
 * **Ample deadline**: the race must return the proven optimum — byte-identical
   distance to the best single engine run at the same budget — because the
@@ -28,8 +27,7 @@ from repro.core.portfolio import EngineSpec, PortfolioSolver
 from repro.datasets.registry import DATASET_BUILDERS, load_dataset
 from repro.exceptions import DeadlineExceeded
 
-#: Reduced sizes shared with the jobs-parity suite so every dataset races in
-#: seconds rather than minutes.
+#: Reduced sizes, so every dataset races in seconds rather than minutes.
 _SMALL_PARAMETERS = {
     "students": {},
     "astronauts": {"num_rows": 120},

@@ -15,6 +15,7 @@ from repro.core import (
     at_least,
 )
 from repro.core.solver import solve_refinement
+from repro.datasets import load_dataset
 from repro.exceptions import NoRefinementError, RefinementError
 from repro.relational import QueryExecutor
 
@@ -211,6 +212,19 @@ class TestNaiveBaselines:
         assert result.candidates_examined == 5
         assert not result.exhausted
 
+    @pytest.mark.parametrize("search_class", [NaiveSearch, NaiveProvenanceSearch])
+    def test_zero_candidate_budget_examines_nothing(
+        self, students_db, scholarship, scholarship_constraints, search_class
+    ):
+        """In process, a budget of 0 candidates is allowed (it prepares the
+        search and stops); only the wire requires at least 1."""
+        result = search_class(
+            students_db, scholarship, scholarship_constraints, epsilon=0.0,
+            max_candidates=0,
+        ).search()
+        assert result.candidates_examined == 0
+        assert not result.feasible and not result.exhausted and not result.timed_out
+
     def test_naive_respects_timeout(self, students_db, scholarship, scholarship_constraints):
         result = NaiveSearch(
             students_db, scholarship, scholarship_constraints, epsilon=0.0, timeout=0.0
@@ -222,6 +236,18 @@ class TestNaiveBaselines:
             students_db, scholarship, scholarship_constraints, epsilon=0.0
         ).search()
         assert result.space_size == result.candidates_examined  # fully enumerated here
+
+    @pytest.mark.parametrize("search_class", [NaiveSearch, NaiveProvenanceSearch])
+    def test_astronomical_space_times_out(self, search_class):
+        """The astronauts space (~2^100 candidates at 120 rows) cannot be
+        exhausted: the search stops at its timeout and says so."""
+        bundle = load_dataset("astronauts", num_rows=120)
+        constraints = ConstraintSet([at_least(2, 10, Gender="F")])
+        result = search_class(
+            bundle.database, bundle.query, constraints, timeout=0.5
+        ).search()
+        assert result.timed_out
+        assert not result.exhausted
 
 
 class TestEricaBaseline:

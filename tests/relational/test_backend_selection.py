@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import ConstraintSet, NaiveProvenanceSearch, NaiveSearch, at_least
 from repro.datasets import load_dataset
 from repro.exceptions import QueryError
 from repro.relational.database import Database
@@ -102,6 +103,33 @@ def test_in_process_relation_swap_still_reloads(tmp_path):
     database.add(Relation("T", schema, [("a", 1.0)]))  # same content, new object
     executor._ensure_sqlite()
     assert executor.sqlite_load_count == 2
+
+
+@pytest.mark.parametrize("search_class", [NaiveSearch, NaiveProvenanceSearch])
+def test_search_on_a_persisted_store_matches_the_memory_backend(tmp_path, search_class):
+    """An exhaustive search on the on-disk store, cold and then warm (the
+    tables adopted, not reloaded), answers as on the memory backend."""
+    bundle = load_dataset("meps", num_rows=400)
+    constraints = ConstraintSet([at_least(2, 10, Sex="F")])
+    path = str(tmp_path / "meps.sqlite")
+
+    def run(**options):
+        result = search_class(
+            bundle.database, bundle.query, constraints, max_candidates=150, **options
+        ).search()
+        return (
+            result.feasible,
+            result.refinement,
+            result.distance_value,
+            result.deviation,
+            result.candidates_examined,
+            result.exhausted,
+            result.timed_out,
+        )
+
+    memory = run(executor_backend="memory")
+    assert run(executor_backend="sqlite", executor_db=path) == memory
+    assert run(executor_backend="sqlite", executor_db=path) == memory
 
 
 def test_executor_pickles_without_sqlite_connection(tmp_path):

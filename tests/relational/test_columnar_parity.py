@@ -195,31 +195,6 @@ def test_sweep_positions_match_sqlite_evaluation(name):
             assert search._base.take(positions).rows == expected
 
 
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_jobs_axis_parity(name):
-    """The jobs axis of the engine matrix: sharded == serial on every dataset."""
-    bundle = _bundle(name)
-    constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
-
-    def run(jobs):
-        return NaiveProvenanceSearch(
-            bundle.database,
-            bundle.query,
-            constraints,
-            max_candidates=250,
-            jobs=jobs,
-        ).search()
-
-    serial = run(1)
-    sharded = run(2)
-    assert sharded.feasible == serial.feasible
-    assert sharded.candidates_examined == serial.candidates_examined
-    assert sharded.refinement == serial.refinement
-    assert sharded.distance_value == serial.distance_value
-    assert sharded.deviation == serial.deviation
-    assert sharded.exhausted == serial.exhausted
-
-
 def test_full_naive_prov_search_matches_sqlite_naive_result(monkeypatch):
     """End-to-end: the fast search, and the search without a mask index
     (each candidate then goes to the executor), pick the refinement that

@@ -183,7 +183,7 @@ class TestWarmExecutorShapes:
         executor = QueryExecutor(bundle.database, backend="memory")
         constraints = ConstraintSet([at_least(5, 10, Sex="F"), at_most(4, 10, Race="White")])
         result = NaiveSearch(
-            bundle.database, bundle.query, constraints, epsilon=0.5, jobs=1, executor=executor
+            bundle.database, bundle.query, constraints, epsilon=0.5, executor=executor
         ).search()
         assert result.exhausted
         assert result.candidates_examined == result.space_size > 1000

@@ -1,7 +1,7 @@
 """Service-suite configuration.
 
 The service layer runs many dataset sessions concurrently.  A process-wide
-``REPRO_EXECUTOR_DB`` (as set by the sharded CI job) would point every
+``REPRO_EXECUTOR_DB`` (as set by the persisted-store CI job) would point every
 session's executor at one shared store file, and datasets that reuse
 relation names (``students`` and ``law_students`` both ship a ``Students``
 table) would fight over the same tables from different threads.  Sessions

@@ -76,7 +76,6 @@ class TestRefineRequest:
             distance="jaccard",
             method="naive",
             time_limit=5.0,
-            jobs=2,
             max_candidates=100,
         )
         assert RefineRequest.from_dict(request.to_dict()) == request
@@ -102,6 +101,20 @@ class TestRefineRequest:
             (dict(dataset_parameters=(("size", 3),)), "unknown dataset parameter"),
             (dict(method="erica", distance="jaccard"), "predicate distance"),
             (dict(num_solutions=0), "num_solutions"),
+            (dict(method="naive+prov", epsilon=-1.0), "epsilon"),
+            (dict(method="naive+prov", epsilon=float("nan")), "epsilon"),
+            (dict(epsilon=float("inf")), "epsilon"),
+            (dict(deadline_s=float("nan")), "deadline_s"),
+            (dict(method="portfolio", deadline_s=float("inf")), "deadline_s"),
+            (dict(method="portfolio", deadline_s=1e300), "deadline_s"),
+            (dict(method="naive+prov", max_candidates=-5), "max_candidates"),
+            (dict(method="naive", max_candidates=0), "max_candidates"),
+            (dict(method="milp", time_limit=float("nan")), "time_limit"),
+            (dict(method="milp", time_limit=float("inf")), "time_limit"),
+            (dict(method="milp", time_limit=0.0), "time_limit"),
+            (dict(method="naive", time_limit=-1.0), "time_limit"),
+            (dict(method="erica", output_size=0), "output_size"),
+            (dict(method="erica", output_size=-2), "output_size"),
         ],
     )
     def test_validation(self, overrides, match):
@@ -139,17 +152,15 @@ class TestEngineParity:
         assert response.statistics == direct.model_statistics
 
     def test_naive_matches_direct_search(self, engine, bundle, constraint_set):
-        response = engine.refine(students_request(method="naive", jobs=1))
-        direct = NaiveSearch(
-            bundle.database, bundle.query, constraint_set, epsilon=0.0, jobs=1
-        ).search()
+        response = engine.refine(students_request(method="naive"))
+        direct = NaiveSearch(bundle.database, bundle.query, constraint_set, epsilon=0.0).search()
         assert response.feasible == direct.feasible
         assert response.distance_value == direct.distance_value
         assert response.statistics["candidates_examined"] == direct.candidates_examined
         assert response.statistics["space_size"] == direct.space_size
 
     def test_warm_engine_answers_like_cold(self, engine):
-        request = students_request(method="naive+prov", jobs=1)
+        request = students_request(method="naive+prov")
         warm = engine.refine(request)
         cold = RefinementEngine().refine(request)
         assert warm.canonical_json() == cold.canonical_json()
@@ -384,7 +395,6 @@ class TestAsIsAnswer:
                 dataset="students",
                 constraints=FITTING,
                 method=method,
-                jobs=1,
                 deadline_s=10.0 if method == "portfolio" else None,
             )
         )

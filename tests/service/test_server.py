@@ -78,7 +78,6 @@ def wire_request(
             }
         ],
         "method": method,
-        "jobs": 1,
         "epsilon": epsilon,
     }
     if parameters:
@@ -90,7 +89,7 @@ def cli_arguments(dataset: str, method: str, epsilon: float = 0.5) -> list[str]:
     parameters, constraint = DATASET_CASES[dataset]
     arguments = [
         "refine", "--dataset", dataset, "--at-least", constraint,
-        "--method", method, "--jobs", "1", "--epsilon", str(epsilon), "--json",
+        "--method", method, "--epsilon", str(epsilon), "--json",
     ]
     if "num_rows" in parameters:
         arguments += ["--rows", str(parameters["num_rows"])]

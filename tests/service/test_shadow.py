@@ -15,7 +15,6 @@ def request(method: str = "milp+opt") -> RefineRequest:
         constraints=(ConstraintSpec("at_least", 3, 6, (("Gender", "F"),)),),
         epsilon=0.0,
         method=method,
-        jobs=1,
     )
 
 
