@@ -22,7 +22,10 @@ neither side) and a verdict:
 ``flat``
     none of the above.
 
-The exit status is 1 when any metric is ``worse``.  Usage::
+Below the table both sides' failed answers are counted.  When the change
+fails a larger share of the answers it attempted than the parent did, the
+last line is the verdict ``failures``.  The exit status is 1 when any metric
+is ``worse`` or the verdict is ``failures``.  Usage::
 
     python scripts/perf_pairs.py --workload exhaustive_warm \\
         --parent p1.json p2.json ... --change c1.json c2.json ...
@@ -151,11 +154,31 @@ def render(workload: str, summaries: list[Summary], parent: list[dict], change: 
             f"| {summary.wins} of {summary.pairs} | {summary.verdict} |"
         )
     for side, runs in (("parent", parent), ("change", change)):
-        failed = sum(int(run.get("failed", 0)) for run in runs)
-        attempted = sum(int(run.get("attempted", 0)) for run in runs)
+        failed, attempted = failures(runs)
         lines.append("")
         lines.append(f"{side}: {failed} of {attempted} answers failed")
+    if fails_more(parent, change):
+        lines.append("")
+        lines.append("verdict `failures`: the change fails a larger share of answers")
     return "\n".join(lines)
+
+
+def failures(runs: list[dict]) -> tuple[int, int]:
+    """``(failed, attempted)`` answers over ``runs``."""
+    return (
+        sum(int(run.get("failed", 0)) for run in runs),
+        sum(int(run.get("attempted", 0)) for run in runs),
+    )
+
+
+def fails_more(parent: list[dict], change: list[dict]) -> bool:
+    """Whether the change fails a larger share of its answers than the parent."""
+
+    def share(runs: list[dict]) -> float:
+        failed, attempted = failures(runs)
+        return failed / attempted if attempted else 0.0
+
+    return share(change) > share(parent)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -179,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
             continue
         summaries.append(summarise(metric, old, new))
     print(render(args.workload, summaries, parent, change))
-    return 1 if any(summary.verdict == "worse" for summary in summaries) else 0
+    worse = any(summary.verdict == "worse" for summary in summaries)
+    return 1 if worse or fails_more(parent, change) else 0
 
 
 if __name__ == "__main__":

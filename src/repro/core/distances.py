@@ -61,6 +61,12 @@ class DistanceMeasure(abc.ABC):
     ) -> float:
         """The distance between ``Q`` and ``Q'`` (smaller is closer)."""
 
+    def evaluate_rankings(
+        self, original_result: RankedResult, refined_result: RankedResult, k: int
+    ) -> float:
+        """The distance read off the two rankings alone (outcome-based measures)."""
+        raise RefinementError(f"{type(self).__name__} needs the refined query")
+
     # -- MILP linearization -----------------------------------------------------
 
     def required_topk_positions(self, context: MILPBuildContext) -> dict[int, set[int]]:
@@ -114,8 +120,9 @@ class PredicateDistance(DistanceMeasure):
         """Predicate distance straight from a :class:`Refinement`'s parameter maps.
 
         Equivalent to :meth:`evaluate_queries` on ``refinement.apply(query)``
-        but without rebuilding the refined query's predicate dictionaries —
-        the exhaustive baselines call this once per candidate.
+        but without rebuilding the refined query's predicate dictionaries.
+        The exhaustive searches sum the same terms in the same order from a
+        candidate's values, and are held to this bit for bit.
         """
         total = 0.0
         for predicate in query.numerical_predicates:
@@ -277,6 +284,11 @@ class JaccardDistance(DistanceMeasure):
         refined_result: RankedResult,
         k: int,
     ) -> float:
+        return self.evaluate_rankings(original_result, refined_result, k)
+
+    def evaluate_rankings(
+        self, original_result: RankedResult, refined_result: RankedResult, k: int
+    ) -> float:
         original_items = set(original_result.top_k_keys(k))
         refined_items = set(refined_result.top_k_keys(k))
         return _jaccard(original_items, refined_items)
@@ -318,6 +330,11 @@ class KendallDistance(DistanceMeasure):
         original_result: RankedResult,
         refined_result: RankedResult,
         k: int,
+    ) -> float:
+        return self.evaluate_rankings(original_result, refined_result, k)
+
+    def evaluate_rankings(
+        self, original_result: RankedResult, refined_result: RankedResult, k: int
     ) -> float:
         """The exact Fagin Cases 2+3 penalty between the two top-``k`` lists.
 

@@ -1,7 +1,8 @@
 """Exhaustive-search baselines: ``Naive`` and ``Naive+prov`` (Section 5).
 
 ``Naive`` enumerates candidate refinements and re-evaluates each refined query
-on the database, one candidate at a time.  ``Naive+prov`` enumerates the same
+on the database, one candidate at a time, by binding the candidate's values
+to the query's prepared shape.  ``Naive+prov`` enumerates the same
 space but evaluates it on the annotated ``~Q(D)`` instead, avoiding the DBMS
 round-trip — the same provenance trick the MILP uses, applied to brute-force
 search.  It evaluates a block of consecutive candidates at a time in a few
@@ -21,6 +22,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -197,14 +199,39 @@ class _BaseExhaustiveSearch:
         return result
 
     def _sweep(self) -> _SweepOutcome:
-        """Examine the candidates one at a time, in enumeration order."""
+        """Examine the candidates one at a time, in enumeration order.
+
+        The query's shape is prepared once; each candidate's values are bound
+        to it, so a candidate costs one evaluation of the query.  Its
+        predicate distance is summed term by term in the order of
+        :meth:`PredicateDistance.evaluate_refinement`, an outcome distance is
+        read off the bound result, and a :class:`Refinement` is built only
+        for a candidate that improves on the incumbent.
+        """
+        space, query, constraints = self._space, self.query, self.constraints
+        bind = self._executor.prepare(query).bind
+        # The binding lists the query's predicates in WHERE order; the
+        # values come in dimension order.
+        order = tuple(space.position(predicate) for predicate in query.where)
+        reorder = None if order == tuple(range(len(order))) else itemgetter(*order)
+        terms = None
+        if isinstance(self.distance, PredicateDistance):
+            terms = [
+                (space.position(predicate), PredicateDistance.numerical_term, predicate)
+                for predicate in query.numerical_predicates
+            ] + [
+                (space.position(predicate), PredicateDistance.categorical_term, predicate)
+                for predicate in query.categorical_predicates
+            ]
+        k_star = constraints.k_star
+        threshold = self.epsilon + 1e-9
         best: tuple[float, Refinement, float] | None = None
         examined = 0
         exhausted = True
         timed_out = False
         cancelled = False
         search_started = time.perf_counter()
-        for refinement in self._space.enumerate():
+        for values in space.candidate_values():
             if self._should_stop is not None and self._should_stop():
                 exhausted = False
                 cancelled = True
@@ -217,54 +244,43 @@ class _BaseExhaustiveSearch:
                 exhausted = False
                 break
             examined += 1
-            candidate = self._examine(refinement)
-            if candidate is not None and (
-                best is None or candidate[0] < best[0] - IMPROVEMENT_EPSILON
-            ):
-                best = candidate
+            result = bind(values if reorder is None else reorder(values))
+            if len(result) < k_star:
+                continue
+            deviation = constraints.deviation(result)
+            if deviation > threshold:
+                continue
+            if terms is None:
+                distance = self.distance.evaluate_rankings(
+                    self._original_result, result, k_star
+                )
+            else:
+                distance = 0.0
+                for position, term, predicate in terms:
+                    distance += term(predicate, values[position])
+            if best is None or distance < best[0] - IMPROVEMENT_EPSILON:
+                best = (distance, space.refinement(values), deviation)
                 if self._on_incumbent is not None:
-                    self._on_incumbent(best[0], best[1], best[2])
+                    self._on_incumbent(*best)
         return _SweepOutcome(best, examined, exhausted, timed_out, cancelled)
-
-    def _examine(self, refinement: Refinement) -> tuple[float, Refinement, float] | None:
-        """Evaluate one candidate; ``(distance, refinement, deviation)`` if acceptable."""
-        refined_query = refinement.apply(self.query)
-        refined_result = self._evaluate(refinement, refined_query)
-        if len(refined_result) < self.constraints.k_star:
-            return None
-        deviation = self.constraints.deviation(refined_result)
-        if deviation > self.epsilon + 1e-9:
-            return None
-        # Predicate distance depends only on the refinement's parameter maps,
-        # so the hot loop can skip rebuilding the refined query's dicts.
-        if isinstance(self.distance, PredicateDistance):
-            distance_value = self.distance.evaluate_refinement(self.query, refinement)
-        else:
-            distance_value = self.distance.evaluate(
-                self.query,
-                refined_query,
-                self._original_result,
-                refined_result,
-                self.constraints.k_star,
-            )
-        return (distance_value, refinement, deviation)
 
     # -- hooks ------------------------------------------------------------------------
 
     def _prepare(self, annotated: AnnotatedDatabase) -> None:
         """Hook for subclasses that need the annotations."""
 
-    def _evaluate(self, refinement: Refinement, refined_query: SPJQuery) -> RankedResult:
-        """The refined query's result, evaluated on the executor."""
-        return self._executor.evaluate(refined_query)
-
 
 class NaiveSearch(_BaseExhaustiveSearch):
     """The paper's ``Naive``: every candidate is re-evaluated on the DBMS.
 
-    It stays one candidate at a time on purpose: it is the paper's baseline
-    that pays a query evaluation per candidate, and it is the ground truth
-    the block kernel of :class:`NaiveProvenanceSearch` is tested against.
+    As a DBMS runs a prepared statement with new parameters, the query's
+    shape is prepared once per search (:meth:`QueryExecutor.prepare`) and
+    each candidate's values are bound to it: on sqlite one statement per
+    candidate, on the memory backend the swap check, the predicate masks and
+    one coordinate take.  It stays one candidate at a time on purpose: it is
+    the paper's baseline that pays a query evaluation per candidate, and on
+    sqlite it is the ground truth the block kernel of
+    :class:`NaiveProvenanceSearch` is tested against.
     """
 
     method = "naive"
@@ -540,11 +556,8 @@ class _BlockKernel:
         #: ``(dimension position, predicate)`` in the summation order of
         #: :meth:`PredicateDistance.evaluate_refinement`.
         self._plan = [
-            (self._keys.index((predicate.attribute, predicate.operator)), predicate)
-            for predicate in query.numerical_predicates
-        ] + [
-            (self._keys.index(predicate.attribute), predicate)
-            for predicate in query.categorical_predicates
+            (space.position(predicate), predicate)
+            for predicate in query.numerical_predicates + query.categorical_predicates
         ]
 
     def _dimension(self, position: int) -> _Dimension | None:

@@ -152,7 +152,10 @@ class RefinementSpace:
     same set of tuples as one of these).  Candidate value sets for a
     categorical predicate are all non-empty subsets of the attribute's active
     domain.  The exhaustive baselines enumerate this space lazily; the MILP
-    never materialises it.
+    never materialises it.  ``Naive`` walks the candidates' value tuples
+    (:meth:`candidate_values`) and binds each to the query's prepared shape,
+    building a :class:`Refinement` (:meth:`refinement`) only for a candidate
+    that improves on its incumbent.
     """
 
     def __init__(self, query: SPJQuery, annotated: AnnotatedDatabase) -> None:
@@ -208,6 +211,12 @@ class RefinementSpace:
             return iter(self._numerical_candidates[keys[position]])
         return self._ordered_subsets(keys[position])
 
+    def position(self, predicate: NumericalPredicate | CategoricalPredicate) -> int:
+        """The dimension whose value refines ``predicate``."""
+        if isinstance(predicate, NumericalPredicate):
+            return self.dimensions().index((predicate.attribute, predicate.operator))
+        return self.dimensions().index(predicate.attribute)
+
     def refinement(self, values: Sequence) -> Refinement:
         """The candidate choosing ``values[i]`` on dimension ``i``."""
         split = len(self._numerical_candidates)
@@ -258,7 +267,12 @@ class RefinementSpace:
         return self.enumerate()
 
     def enumerate(self) -> Iterator[Refinement]:
-        """Lazily enumerate every candidate refinement.
+        """Lazily enumerate every candidate refinement, in the order of
+        :meth:`candidate_values`."""
+        return map(self.refinement, self.candidate_values())
+
+    def candidate_values(self) -> Iterator[tuple]:
+        """Lazily walk every candidate's values, one per dimension.
 
         The dimensions of :meth:`dimensions` nest outermost first, so the last
         one varies fastest.  Categorical subsets are enumerated in order of
@@ -268,16 +282,17 @@ class RefinementSpace:
         categorical domain of 114 values (Astronauts) the space has ~2^114
         members and the baselines rely on their timeout to stop early.
         """
-        count = self.num_dimensions()
+        last = self.num_dimensions() - 1
 
         def expand(position: int, chosen: tuple):
-            if position == count:
-                yield self.refinement(chosen)
+            if position == last:
+                for value in self.dimension_values(position):
+                    yield chosen + (value,)
                 return
             for value in self.dimension_values(position):
                 yield from expand(position + 1, chosen + (value,))
 
-        return expand(0, ())
+        return expand(0, ()) if last >= 0 else iter([()])
 
     def _ordered_subsets(self, attribute: str) -> Iterator[frozenset]:
         """Yield non-empty subsets of the attribute domain, nearest-to-original first.

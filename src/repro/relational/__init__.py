@@ -16,7 +16,12 @@ the columnar engine to the sqlite backend.  Select a backend per executor
 """
 
 from repro.relational.database import Database
-from repro.relational.executor import EXECUTOR_BACKENDS, QueryExecutor, RankedResult
+from repro.relational.executor import (
+    EXECUTOR_BACKENDS,
+    PreparedQuery,
+    QueryExecutor,
+    RankedResult,
+)
 from repro.relational.predicates import (
     CategoricalPredicate,
     Conjunction,
@@ -39,6 +44,7 @@ __all__ = [
     "NumericalPredicate",
     "Operator",
     "OrderBy",
+    "PreparedQuery",
     "QueryExecutor",
     "RankedResult",
     "Relation",

@@ -32,6 +32,7 @@ sqlite pushdown backend.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -259,52 +260,58 @@ class ColumnStore:
     # -- vectorized operators ---------------------------------------------------
 
     def mask(self, conjunction: Conjunction):
-        """Boolean selection mask for a conjunction; ``None`` -> caller fallback.
+        """Boolean selection mask for a conjunction; ``None`` -> caller fallback."""
+        selectors = self.selectors(conjunction)
+        if selectors is None:
+            return None
+        if not selectors:
+            return np.ones(self.length, dtype=bool)
+        return selection(selectors, conjunction.constants)
 
-        Every predicate's mask is a fresh array, so the first one is the
-        running mask and the rest are AND-ed into it.
-        """
-        mask = None
+    def selectors(self, conjunction: Conjunction):
+        """One mask function per predicate, of the predicate's constant (a
+        number or a value set), resolved once over this store's views;
+        ``None`` when a predicate column has no float or code view."""
+        selectors = []
         for predicate in conjunction:
             if isinstance(predicate, NumericalPredicate):
-                part = self._numerical_mask(predicate)
+                select = self._numerical_selector(predicate)
             else:
-                part = self._categorical_mask(predicate)
-            if part is None:
+                select = self._categorical_selector(predicate)
+            if select is None:
                 return None
-            if mask is None:
-                mask = part
-            else:
-                mask &= part
-        if mask is None:
-            return np.ones(self.length, dtype=bool)
-        return mask
+            selectors.append(select)
+        return tuple(selectors)
 
-    def _numerical_mask(self, predicate: NumericalPredicate):
+    def _numerical_selector(self, predicate: NumericalPredicate):
         if predicate.attribute not in self.schema:
             # Row semantics: a missing attribute reads as None, which fails.
-            return np.zeros(self.length, dtype=bool)
+            return lambda constant: np.zeros(self.length, dtype=bool)
         values = self.numeric(predicate.attribute)
         if values is None:
             return None
         # NaN (was None) compares False under every operator, matching the
         # row path's "missing/None fails" rule.
-        return COMPARISONS[predicate.operator](values, predicate.constant)
+        return functools.partial(COMPARISONS[predicate.operator], values)
 
-    def _categorical_mask(self, predicate: CategoricalPredicate):
+    def _categorical_selector(self, predicate: CategoricalPredicate):
         if predicate.attribute not in self.schema:
-            return np.full(self.length, None in predicate.values, dtype=bool)
+            return lambda values: np.full(self.length, None in values, dtype=bool)
         factorized = self.codes(predicate.attribute)
         if factorized is None:
             return None
         codes, mapping = factorized
-        # A lookup table over the codes: a value no row holds has no code.
-        member = np.zeros(len(mapping), dtype=bool)
-        for value in predicate.values:
-            code = mapping.get(value)
-            if code is not None:
-                member[code] = True
-        return member[codes]
+
+        def select(values):
+            # A lookup table over the codes: a value no row holds has no code.
+            member = np.zeros(len(mapping), dtype=bool)
+            for value in values:
+                code = mapping.get(value)
+                if code is not None:
+                    member[code] = True
+            return member[codes]
+
+        return select
 
     def argsort_by(self, name: str, descending: bool):
         """Stable sort order by one column, NULLs last; ``None`` -> fallback.
@@ -374,6 +381,20 @@ class ColumnStore:
         return int(np.count_nonzero(mask))
 
 
+def selection(selectors: Sequence, constants: Sequence):
+    """The rows a conjunction keeps: the AND of each predicate's mask at its
+    constant (at least one predicate).  Every mask is a fresh array, so the
+    first one is the running mask and the rest are AND-ed into it."""
+    mask = None
+    for select, constant in zip(selectors, constants, strict=True):
+        part = select(constant)
+        if mask is None:
+            mask = part
+        else:
+            mask &= part
+    return mask
+
+
 def combined_codes(store: ColumnStore, names: Sequence[str]):
     """A single ``int64`` array identifying each row's key over ``names``.
 
@@ -397,4 +418,4 @@ def combined_codes(store: ColumnStore, names: Sequence[str]):
     return combined
 
 
-__all__ = ["COMPARISONS", "ColumnStore", "combined_codes"]
+__all__ = ["COMPARISONS", "ColumnStore", "combined_codes", "selection"]

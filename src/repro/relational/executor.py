@@ -36,8 +36,10 @@ import numpy as np
 
 from repro.analysis.debug_locks import guard_mapping, plain_copy
 from repro.exceptions import QueryError
+from repro.relational import columnar
 from repro.relational.columnar import ColumnStore
 from repro.relational.database import Database
+from repro.relational.predicates import Conjunction, NumericalPredicate
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -109,7 +111,11 @@ class RankedResult:
     Attributes
     ----------
     query:
-        The query that produced this result.
+        The query that produced this result.  A result of
+        :meth:`PreparedQuery.bind` holds the query given to
+        :meth:`QueryExecutor.prepare`: its tables, ranking, projection and
+        DISTINCT, all that a result reads, are the bound query's, but its
+        constants are its own.
     relation:
         The full-width result: joined rows that satisfy the selection, ordered
         by the ``ORDER BY`` clause, de-duplicated when the query is DISTINCT.
@@ -176,6 +182,79 @@ class RankedResult:
         ]
 
 
+def _shape(query: SPJQuery) -> tuple:
+    """What a prepared query resolves besides its ordered join: each
+    predicate's attribute and operator, the projection and DISTINCT."""
+    return (
+        tuple(
+            (predicate.attribute, predicate.operator.value)
+            if isinstance(predicate, NumericalPredicate)
+            else (predicate.attribute,)
+            for predicate in query.where
+        ),
+        query.select,
+        query.distinct,
+    )
+
+
+class PreparedQuery:
+    """A query shape prepared once on an executor: each :meth:`bind` evaluates
+    it with new constants, as a DBMS runs a prepared statement.
+
+    On the ``memory`` backend, preparing validates the shape against the
+    join and resolves, over the ordered join's root, every predicate's float
+    view or code table and its comparison (:meth:`ColumnStore.selectors`);
+    the executor keeps that resolution for every later query of the shape.
+    A binding then costs the check that no relation was swapped, its masks,
+    one coordinate take and DISTINCT.  On ``sqlite`` a binding fills in the
+    per-shape pushdown statement.  A prepared query is immutable, so
+    concurrent searches share it.
+    """
+
+    __slots__ = ("query", "_executor", "_relations", "_ordered", "_selectors")
+
+    def __init__(
+        self,
+        executor: "QueryExecutor",
+        query: SPJQuery,
+        relations: tuple[Relation, ...] = (),
+        ordered: Relation | None = None,
+        selectors: tuple | None = None,
+    ) -> None:
+        self.query = query
+        self._executor = executor
+        self._relations = relations
+        self._ordered = ordered
+        self._selectors = selectors
+
+    def bind(self, constants: Sequence) -> RankedResult:
+        """The result of the query with ``constants`` in place of its own, one
+        per predicate as :attr:`Conjunction.constants` lists them: the rows,
+        projection and length ``evaluate`` gives the bound query.  Its
+        ``query`` is the prepared one (see :attr:`RankedResult.query`)."""
+        query = self.query
+        executor = self._executor
+        if executor.backend == "sqlite":
+            return executor._evaluate_sqlite(query, query.where.bind(constants))
+        if not all(
+            map(operator.is_, map(executor.database.relation, query.tables), self._relations)
+        ):
+            # A relation was swapped since preparing: bind the shape over it.
+            return executor.prepare(query).bind(constants)
+        if self._selectors:
+            selected = self._ordered.take(
+                columnar.selection(self._selectors, constants).nonzero()[0]
+            )
+        else:
+            # No predicate (``~Q`` keeps every row) or a predicate column
+            # without a view (the row path): Relation.select's own rules.
+            selected = self._ordered.select(query.where.bind(constants))
+        if query.distinct and query.select:
+            selected = executor._deduplicate(selected, query.select)
+        projected = selected.project(query.select) if query.select else selected
+        return RankedResult(query=query, relation=selected, projected=projected)
+
+
 class QueryExecutor:
     """Evaluates SPJ queries over a :class:`Database` via a pluggable backend.
 
@@ -187,10 +266,12 @@ class QueryExecutor:
     same tables — the exhaustive baselines re-evaluate thousands of candidate
     refinements — skip the join and sort entirely.  Each cache holds one
     entry per query shape; swapping a relation in the database replaces the
-    stale entry on the next evaluation.  The ordered-join entry also records
-    the shapes validated against it, so a repeated shape is not re-validated,
-    and the float and code views the selections and top-k counts read are
-    computed once on the join's eager root.  A warm evaluation then costs
+    stale entry on the next evaluation.  The ordered-join entry also keeps
+    the shapes prepared over it (:meth:`prepare`), so a repeated shape is not
+    re-validated, and the float and code views the selections and top-k
+    counts read are computed once on the join's eager root.  ``evaluate``
+    binds a query's own constants to its prepared shape; ``Naive`` prepares
+    the shape once per search and binds each candidate's.  A binding costs
     the swap check, its predicate masks and one coordinate take.
 
     On the ``sqlite`` backend the join, selection, ordering and DISTINCT all
@@ -237,10 +318,16 @@ class QueryExecutor:
     # -- process-boundary hygiene --------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle without sqlite connections and locks (neither is picklable)."""
+        """Pickle without sqlite connections, locks and prepared shapes (their
+        selectors are closures): none is picklable, and a clone prepares its
+        own shapes over the ordered joins it keeps."""
         state = {name: value for name, value in self.__dict__.items()}
         state["_sqlite_pool"] = None
         state["_cache_lock"] = None
+        state["_ordered_cache"] = {
+            key: (joined, ordered, {})
+            for key, (joined, ordered, _) in plain_copy(self._ordered_cache).items()
+        }
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -277,16 +364,44 @@ class QueryExecutor:
     # -- public API --------------------------------------------------------------
 
     def evaluate(self, query: SPJQuery) -> RankedResult:
-        """Evaluate ``query`` and return its ranked result."""
+        """Evaluate ``query`` and return its ranked result.
+
+        On the memory backend this is ``query``'s prepared shape bound to
+        its own constants, the one selection path.
+        """
         if self.backend == "sqlite":
             return self._evaluate_sqlite(query)
-        selected = self._ordered_join(query).select(query.where)
-        if query.distinct and query.select:
-            selected = self._deduplicate(selected, query.select)
-        projected = (
-            selected.project(query.select) if query.select else selected
-        )
-        return RankedResult(query=query, relation=selected, projected=projected)
+        return self.prepare(query).bind(query.where.constants)
+
+    def prepare(self, query: SPJQuery) -> PreparedQuery:
+        """``query``'s shape, validated and resolved once; see :class:`PreparedQuery`.
+
+        On the memory backend the ordered-join entry keeps the selectors of
+        every shape prepared over it, so a repeated shape is a lookup after
+        the swap check of :meth:`_join`.  The entry holds no prepared query,
+        which would hold this executor in a cycle.
+        """
+        if self.backend == "sqlite":
+            return PreparedQuery(self, query)
+        key = (query.tables, query.order_by.attribute, query.order_by.descending)
+        shape = _shape(query)
+        with self._cache_lock:
+            relations, joined = self._join(query.tables)
+            cached = self._ordered_cache.get(key)
+            current = cached is not None and cached[0] is joined
+            if current and shape in cached[2]:
+                return PreparedQuery(self, query, relations, cached[1], cached[2][shape])
+            self._validate(query, joined.schema)
+            if current:
+                _, ordered, shapes = cached
+            else:
+                ordered = joined.order_by(
+                    query.order_by.attribute, descending=query.order_by.descending
+                )
+                shapes = {}
+            selectors = ordered.column_store().selectors(query.where)
+            self._ordered_cache[key] = (joined, ordered, {**shapes, shape: selectors})
+            return PreparedQuery(self, query, relations, ordered, selectors)
 
     def evaluate_unfiltered(self, query: SPJQuery) -> RankedResult:
         """Evaluate the paper's ``~Q``: no selection, no DISTINCT, same ranking."""
@@ -322,8 +437,11 @@ class QueryExecutor:
                 sqlite.refresh()
         return sqlite
 
-    def _evaluate_sqlite(self, query: SPJQuery) -> RankedResult:
-        """Push the whole query into sqlite and gather only the result rows."""
+    def _evaluate_sqlite(
+        self, query: SPJQuery, where: Conjunction | None = None
+    ) -> RankedResult:
+        """Push the whole query, with ``where`` as its selection when given (a
+        binding of its constants), into sqlite and gather only the result rows."""
         schemas = [self.database.relation(name).schema for name in query.tables]
         joined_schema = schemas[0]
         for schema in schemas[1:]:
@@ -331,7 +449,9 @@ class QueryExecutor:
         self._validate(query, joined_schema)
 
         sqlite = self._ensure_sqlite()
-        coordinates = sqlite.pushdown_positions(query)
+        coordinates = sqlite.pushdown_positions(
+            query if where is None else query.with_where(where)
+        )
         relation = self._gather(query, joined_schema, coordinates)
         if (
             query.distinct
@@ -375,13 +495,14 @@ class QueryExecutor:
 
     # -- helpers -------------------------------------------------------------------
 
-    def _join(self, tables: Sequence[str]) -> Relation:
-        """The natural join of ``tables``, rebuilt when the database swaps one."""
+    def _join(self, tables: Sequence[str]) -> tuple[tuple[Relation, ...], Relation]:
+        """``(input relations, natural join)`` of ``tables``, rebuilt when the
+        database swaps one."""
         if not tables:
             raise QueryError("cannot evaluate a query over an empty table list")
         tables = tuple(tables)
         with self._cache_lock:
-            relations = [self.database.relation(name) for name in tables]
+            relations = tuple(self.database.relation(name) for name in tables)
             # The entry keeps the input relations alive, so an identity check
             # against them can never be fooled by a replacement allocated at a
             # recycled address; a swap replaces the whole entry.
@@ -391,34 +512,7 @@ class QueryExecutor:
                 for relation in relations[1:]:
                     joined = joined.natural_join(relation)
                 self._join_cache[tables] = cached = (relations, joined)
-            return cached[1]
-
-    def _ordered_join(self, query: SPJQuery) -> Relation:
-        """The join of ``query.tables`` in ``ORDER BY`` order, ``query`` validated against it.
-
-        The entry records the shapes already validated against its join: the
-        predicate attributes and the projection, the rest of what
-        :meth:`_validate` reads being the entry's key.  A query of a known
-        shape costs only the swap check of :meth:`_join`.
-        """
-        key = (query.tables, query.order_by.attribute, query.order_by.descending)
-        shape = (tuple(query.predicate_attributes), query.select)
-        with self._cache_lock:
-            joined = self._join(query.tables)
-            cached = self._ordered_cache.get(key)
-            current = cached is not None and cached[0] is joined
-            if current and shape in cached[2]:
-                return cached[1]
-            self._validate(query, joined.schema)
-            if current:
-                _, ordered, shapes = cached
-            else:
-                ordered = joined.order_by(
-                    query.order_by.attribute, descending=query.order_by.descending
-                )
-                shapes = frozenset()
-            self._ordered_cache[key] = (joined, ordered, shapes | {shape})
-            return ordered
+            return cached
 
     @staticmethod
     def _deduplicate(ordered: Relation, select: Sequence[str]) -> Relation:

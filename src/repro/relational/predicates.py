@@ -184,6 +184,24 @@ class Conjunction:
         """The paper's ``Preds(Q)``: attributes appearing in predicates."""
         return [p.attribute for p in self._predicates]
 
+    @property
+    def constants(self) -> tuple:
+        """The paper's constants ``C``, in predicate order: a numerical
+        predicate's constant, a categorical predicate's value set."""
+        return tuple(
+            p.constant if isinstance(p, NumericalPredicate) else p.values
+            for p in self._predicates
+        )
+
+    def bind(self, constants: Sequence) -> "Conjunction":
+        """The same predicates with ``constants`` (as :attr:`constants` lists them)."""
+        return Conjunction(
+            [
+                p.with_constant(c) if isinstance(p, NumericalPredicate) else p.with_values(c)
+                for p, c in zip(self._predicates, constants, strict=True)
+            ]
+        )
+
     def __len__(self) -> int:
         return len(self._predicates)
 

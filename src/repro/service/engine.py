@@ -47,7 +47,12 @@ from repro.core.deadline import Deadline, current_deadline, deadline_scope
 from repro.core.refinement import Refinement
 from repro.core.solver import RefinementSolver
 from repro.datasets.registry import DATASET_BUILDERS
-from repro.exceptions import InfeasibleError, RefinementError, SolverError
+from repro.exceptions import (
+    ConstraintError,
+    InfeasibleError,
+    RefinementError,
+    SolverError,
+)
 from repro.milp.solution import SolveStatus
 from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.query import SPJQuery
@@ -501,6 +506,7 @@ class RefinementEngine:
             # (potentially expensive) session build, not after.
             ambient.require("session acquisition")
         session = self.sessions.get(request.dataset, dict(request.dataset_parameters))
+        self._check_group_attributes(session, request)
         if request.method == "portfolio":
             return self._refine_portfolio(session, request)
         if request.method in ("milp", "milp+opt"):
@@ -511,6 +517,23 @@ class RefinementEngine:
         if request.method in ("naive", "naive+prov"):
             return self._refine_exhaustive(session, request)
         return self._refine_erica(session, request)
+
+    @staticmethod
+    def _check_group_attributes(session: DatasetSession, request: RefineRequest) -> None:
+        """Refuse a constraint whose group names an attribute that no relation
+        of the query carries: no tuple can match it, so every method would
+        answer ``infeasible`` to a question about nothing.  A known attribute
+        with a value no tuple carries is still a question, and is answered."""
+        known: set[str] = set()
+        for table in session.query.tables:
+            known.update(session.database.relation(table).schema.names)
+        for spec in request.constraints:
+            unknown = sorted(attribute for attribute, _ in spec.group if attribute not in known)
+            if unknown:
+                raise ConstraintError(
+                    f"constraint group names unknown attributes {unknown}; "
+                    f"the {request.dataset!r} query has {sorted(known)}"
+                )
 
     @staticmethod
     def _answer_as_is(

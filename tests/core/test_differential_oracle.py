@@ -11,6 +11,9 @@ exhaustive :class:`NaiveSearch` on the sqlite backend, which re-evaluates
 every candidate in sqlite and so shares no engine with the ones it judges.
 Against it:
 
+* ``Naive`` on the memory backend, binding every candidate to the query's
+  prepared shape, must give the same answer exactly: feasibility,
+  refinement, distance, deviation, candidates examined and exhaustion;
 * ``milp`` and ``milp+opt`` on both sides of the pool-size floor
   (``MIN_LAZY_POOL_ROWS`` forced to 0 and to a huge value), each on the
   HiGHS (``scipy``) and ``branch_and_bound`` backends, and ``naive+prov``
@@ -153,6 +156,17 @@ def draw_instance(seed: int):
     return database, query, ConstraintSet(constraints), epsilon, distance
 
 
+def _answer(result):
+    return (
+        result.feasible,
+        result.refinement,
+        result.distance_value,
+        result.deviation,
+        result.candidates_examined,
+        result.exhausted,
+    )
+
+
 def assert_valid_answer(label, constraints, epsilon, deviation, rows):
     assert deviation <= epsilon + 1e-9, f"{label}: deviation {deviation} > {epsilon}"
     assert rows >= constraints.k_star, f"{label}: {rows} rows < k*={constraints.k_star}"
@@ -170,6 +184,16 @@ def test_engines_agree_with_exhaustive_search(monkeypatch, seed):
         executor_backend="sqlite",
     ).search()
     assert truth.exhausted
+
+    memory = NaiveSearch(
+        database,
+        query,
+        constraints,
+        epsilon=epsilon,
+        distance=distance,
+        executor_backend="memory",
+    ).search()
+    assert _answer(memory) == _answer(truth)
 
     prov = NaiveProvenanceSearch(
         database, query, constraints, epsilon=epsilon, distance=distance

@@ -6,10 +6,14 @@ engine to byte-identical :class:`RankedResult`\\ s (rows, order, value
 types, projection, distinct keys, scores) on every registered dataset and on
 synthesized copies of each, including DISTINCT ranking queries.  The
 ``Naive+prov`` block kernel's selected rows are held to sqlite's answer for
-each refined query.
+each refined query.  On both backends, a prepared query bound to a
+candidate's constants answers as the executor answers the refined query.
 """
 
 from __future__ import annotations
+
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -21,9 +25,21 @@ from repro.core import (
     NaiveSearch,
     at_least,
 )
+from repro.core.refinement import Refinement, RefinementSpace
 from repro.datasets import scale_database
 from repro.datasets.registry import DATASET_BUILDERS, load_dataset
-from repro.relational import QueryExecutor, SPJQuery
+from repro.provenance.lineage import annotate
+from repro.relational import (
+    CategoricalPredicate,
+    Conjunction,
+    Database,
+    NumericalPredicate,
+    QueryExecutor,
+    Relation,
+    Schema,
+    SPJQuery,
+)
+from repro.relational.schema import categorical, numerical
 
 #: Reduced sizes so the whole registry can be evaluated twice per test run.
 _SMALL_PARAMETERS = {
@@ -225,3 +241,106 @@ def test_full_naive_prov_search_matches_sqlite_naive_result(monkeypatch):
         assert result.refinement == slow.refinement
         assert result.distance_value == slow.distance_value
         assert result.deviation == slow.deviation
+
+
+# -- prepared queries ------------------------------------------------------------------
+
+#: Candidates sampled per space, and the values of each dimension they draw from.
+_BOUND_SAMPLES = 40
+_DIMENSION_PREFIX = 64
+
+
+def _bound_identical(bound, expected):
+    """A binding's result has the bound query's rows, projection and length."""
+    assert len(bound) == len(expected)
+    assert bound.relation.schema == expected.relation.schema
+    assert bound.projected.schema == expected.projected.schema
+    assert list(map(repr, bound.relation.rows)) == list(map(repr, expected.relation.rows))
+    assert list(map(repr, bound.projected.rows)) == list(map(repr, expected.projected.rows))
+
+
+def _sampled_candidates(space, seed):
+    """Candidates drawn value by value, with a fixed ``seed``, from the first
+    values of each dimension (a categorical dimension can hold 2^114 subsets)."""
+    rng = random.Random(seed)
+    prefixes = [
+        list(itertools.islice(space.dimension_values(position), _DIMENSION_PREFIX))
+        for position in range(space.num_dimensions())
+    ]
+    return [tuple(rng.choice(values) for values in prefixes) for _ in range(_BOUND_SAMPLES)]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+@pytest.mark.parametrize("copy_seed", [None, 0, 1])
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_a_binding_answers_as_the_refined_query(name, copy_seed, backend):
+    """Sampled candidates of every registered dataset (DISTINCT on students,
+    the four-table join on tpch) and of synthesized copies, and a categorical
+    value no tuple carries: ``prepare(Q).bind(constants)`` returns what
+    ``evaluate`` returns for the refined query."""
+    bundle = _bundle(name)
+    database = bundle.database
+    if copy_seed is not None:
+        database = scale_database(database, 1.0, seed=copy_seed)
+    query = bundle.query
+    executor = QueryExecutor(database, backend=backend)
+    space = RefinementSpace(query, annotate(query, database))
+    prepared = executor.prepare(query)
+    refinements = [
+        space.refinement(values)
+        for values in _sampled_candidates(space, seed=f"{name}/{copy_seed}")
+    ]
+    for predicate in query.categorical_predicates:
+        absent = Refinement(categorical={predicate.attribute: predicate.values | {"Atlantis"}})
+        refinements.append(absent)
+    for refinement in refinements:
+        refined = refinement.apply(query)
+        _bound_identical(prepared.bind(refined.where.constants), executor.evaluate(refined))
+
+
+def _scored(rows):
+    schema = Schema([categorical("id"), categorical("kind"), numerical("score"), numerical("rank")])
+    return Relation("r", schema, rows)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_binding_without_a_float_view_takes_the_row_path(backend):
+    """A predicate column with a value that is not a number has no float
+    view, so selection runs row by row; a row an earlier predicate rejects
+    never reads it.  The binding answers as ``evaluate`` does."""
+    rows = [("a", "x", 1.0, 4), ("b", "y", "n/a", 3), ("c", "x", 3.0, 2), ("d", "z", 2.0, 1)]
+    database = Database([_scored(rows)])
+    query = SPJQuery(
+        tables=["r"],
+        where=Conjunction(
+            [CategoricalPredicate("kind", {"x"}), NumericalPredicate("score", ">=", 2.0)]
+        ),
+        order_by="rank",
+        name="q",
+    )
+    executor = QueryExecutor(database, backend=backend)
+    assert database.relation("r").column_store().numeric("score") is None
+    prepared = executor.prepare(query)
+    for constants in [({"x"}, 2.0), ({"x", "z"}, 1.0), ({"z"}, 0.0), ({"x", "w"}, 5.0)]:
+        refined = query.with_where(query.where.bind(constants))
+        _bound_identical(prepared.bind(constants), executor.evaluate(refined))
+    # Ranked by rank, descending; b (kind y, score "n/a") is never compared.
+    assert [row[0] for row in prepared.bind(({"x", "z"}, 1.0)).relation.rows] == ["a", "c", "d"]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_a_binding_sees_a_relation_swapped_after_the_last_one(backend):
+    database = Database([_scored([("a", "x", 1.0, 2), ("b", "x", 2.0, 1)])])
+    query = SPJQuery(
+        tables=["r"],
+        where=Conjunction([NumericalPredicate("score", ">=", 1.5)]),
+        order_by="rank",
+        name="q",
+    )
+    executor = QueryExecutor(database, backend=backend)
+    prepared = executor.prepare(query)
+    assert prepared.bind((1.0,)).relation.rows == [("a", "x", 1.0, 2), ("b", "x", 2.0, 1)]
+    database.add(_scored([("c", "y", 5.0, 9), ("a", "x", 1.0, 2)]))
+    swapped = prepared.bind((1.0,))
+    assert swapped.relation.rows == [("c", "y", 5.0, 9), ("a", "x", 1.0, 2)]
+    _bound_identical(swapped, executor.evaluate(query.with_where(query.where.bind((1.0,)))))

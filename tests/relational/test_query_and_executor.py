@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ConstraintSet, NaiveSearch, at_least, at_most
+from repro.core.distances import PredicateDistance
+from repro.core.refinement import Refinement
 from repro.datasets import law_students_database, law_students_query, load_dataset
 from repro.exceptions import QueryError
 from repro.relational import (
@@ -14,6 +21,7 @@ from repro.relational import (
     Database,
     NumericalPredicate,
     OrderBy,
+    PreparedQuery,
     QueryExecutor,
     Relation,
     Schema,
@@ -147,7 +155,7 @@ class TestExecutor:
 
 
 class TestWarmExecutorShapes:
-    """One memory executor validates a query shape once; a repeat of the
+    """One memory executor prepares a query shape once; a binding of the
     shape costs its masks and the check that no relation was swapped."""
 
     def test_an_unknown_attribute_added_to_a_validated_shape_raises(
@@ -170,6 +178,27 @@ class TestWarmExecutorShapes:
                 executor.evaluate(query)
         assert executor.evaluate(scholarship).relation.rows == expected
 
+    def test_an_executor_with_prepared_shapes_pickles(self, students_db, scholarship):
+        executor = QueryExecutor(students_db, backend="memory")
+        expected = executor.evaluate(scholarship).relation.rows
+        clone = pickle.loads(pickle.dumps(executor))
+        assert clone.evaluate(scholarship).relation.rows == expected
+
+    def test_prepared_shapes_do_not_keep_their_executor_alive(self, students_db, scholarship):
+        """The cache keeps each shape's selectors, not the prepared query
+        (which holds its executor), so no cycle outlives a dropped executor."""
+        executor = QueryExecutor(students_db, backend="memory")
+        executor.evaluate(scholarship)
+        reference = weakref.ref(executor)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            del executor
+            assert reference() is None
+        finally:
+            if collecting:
+                gc.enable()
+
     def test_naive_search_factorizes_each_root_column_at_most_once(self, monkeypatch):
         factorized = []
         factorize = columnar._factorize
@@ -190,6 +219,66 @@ class TestWarmExecutorShapes:
         # The two group attributes, each factorized once over the whole root
         # (meps has no categorical predicate and no DISTINCT).
         assert factorized == [len(bundle.database.relation("MEPS"))] * 2
+
+    def test_naive_search_prepares_once_and_binds_each_candidate(self, monkeypatch):
+        """Counted, not timed: the sweep prepares the query's shape once and
+        binds each candidate's values to it; it builds a Refinement only for
+        an improvement on the incumbent (the final result's is the last one)
+        and never applies one, which the result does once."""
+        calls: Counter = Counter()
+        sweeping: list = []
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name, bool(sweeping)] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in (
+            (QueryExecutor, "prepare"),
+            (PreparedQuery, "bind"),
+            (Refinement, "__post_init__"),
+            (Refinement, "apply"),
+        ):
+            count(owner, name)
+        sweep = NaiveSearch._sweep
+
+        def counted_sweep(search):
+            sweeping.append(search)
+            try:
+                return sweep(search)
+            finally:
+                sweeping.pop()
+
+        monkeypatch.setattr(NaiveSearch, "_sweep", counted_sweep)
+        bundle = load_dataset("meps", num_rows=1200)
+        constraints = ConstraintSet([at_least(5, 10, Sex="F"), at_most(4, 10, Race="White")])
+        improvements = []
+        result = NaiveSearch(
+            bundle.database,
+            bundle.query,
+            constraints,
+            epsilon=0.5,
+            executor=QueryExecutor(bundle.database, backend="memory"),
+            on_incumbent=lambda *incumbent: improvements.append(incumbent),
+        ).search()
+        assert result.exhausted
+        assert result.candidates_examined == result.space_size > 1000
+        assert calls["prepare", True] == 1
+        assert calls["bind", True] == result.candidates_examined
+        assert len(improvements) > 1
+        assert calls["__post_init__", True] == len(improvements)
+        assert calls["__post_init__", False] == 0
+        assert result.refinement is improvements[-1][1]
+        assert calls["apply", True] == 0
+        assert calls["apply", False] == 1
+        # Each improvement's distance, summed term by term from its values.
+        for distance, refinement, _ in improvements:
+            expected = PredicateDistance().evaluate_refinement(bundle.query, refinement)
+            assert distance.hex() == expected.hex()
 
 
 class TestSQLGeneration:

@@ -7,6 +7,7 @@ sqlite backend must hand each thread its own connection.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -66,6 +67,47 @@ class TestExecutorThreadSafety:
             futures = [pool.submit(cold_evaluate) for _ in range(THREADS)]
             results = [future.result(timeout=60) for future in futures]
         assert all(rows == results[0] for rows in results)
+
+
+    def test_threads_binding_one_prepared_shape_get_their_own_rows(
+        self, backend, tmp_path
+    ):
+        """Concurrent searches share one prepared shape: each thread binds
+        its own constants, under a short switch interval, and must get the
+        rows of its own binding, never another thread's."""
+        executor, query = build_executor(backend, tmp_path)
+        prepared = executor.prepare(query)
+        bindings = [(3.7, {"RB"}), (3.0, {"RB", "SO"}), (3.5, {"SO"}), (0.0, {"GD", "SO"})]
+        expected = [
+            executor.evaluate(query.with_where(query.where.bind(constants))).projected.rows
+            for constants in bindings
+        ]
+        assert len(set(map(tuple, expected))) == len(expected)
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(THREADS)
+
+        def hammer(offset):
+            try:
+                barrier.wait(timeout=30)
+                for round_ in range(ROUNDS * len(bindings)):
+                    index = (offset + round_) % len(bindings)
+                    rows = prepared.bind(bindings[index]).projected.rows
+                    assert rows == expected[index]
+            except BaseException as error:  # noqa: BLE001 - collected for the assert
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(n,)) for n in range(THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestSQLitePerThreadConnections:

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import repro.service.engine as engine_module
 from repro.cli import main
 from repro.core import (
     ConstraintSet,
@@ -18,7 +19,7 @@ from repro.core import (
 )
 from repro.core.milp_builder import MILPBuilder
 from repro.datasets import load_dataset
-from repro.exceptions import RefinementError
+from repro.exceptions import ConstraintError, RefinementError
 from repro.milp.solution import Solution, SolveStatus
 from repro.milp.solvers import ScipySolver
 from repro.relational.sqlgen import render_sql
@@ -402,6 +403,43 @@ class TestAsIsAnswer:
         if method == "portfolio":
             # The race ran: its engines are on the record.
             assert response.race["engines"]
+
+
+class TestConstraintGroups:
+    """Once the session is acquired, and before the as-is rule, every group
+    attribute is checked against the query's relations: an unknown one is
+    refused on every method, while a known attribute with a value no tuple
+    carries is a question like any other, answered ``infeasible``."""
+
+    METHODS = ("naive", "naive+prov", "milp", "milp+opt", "erica", "portfolio")
+
+    @staticmethod
+    def request(method, constraints, **fields) -> RefineRequest:
+        deadline = 10.0 if method == "portfolio" else None
+        return students_request(
+            method=method, constraints=constraints, deadline_s=deadline, **fields
+        )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_an_unknown_attribute_is_refused_before_the_as_is_rule(
+        self, monkeypatch, method
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the groups are checked before the as-is rule")
+
+        monkeypatch.setattr(engine_module, "original_fits", refuse)
+        unknown = ConstraintSpec("at_most", 1, 3, (("Nope", "F"),))
+        # FITTING alone is answered as it stands at the default epsilon.
+        request = self.request(method, FITTING + (unknown,), epsilon=0.5)
+        with pytest.raises(ConstraintError, match="Nope"):
+            RefinementEngine().refine(request)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_value_no_tuple_carries_is_answered_infeasible(self, method):
+        absent = (ConstraintSpec("at_least", 3, 6, (("Gender", "Nope"),)),)
+        response = RefinementEngine().refine(self.request(method, absent))
+        assert response.status == "infeasible"
+        assert not response.feasible
 
 
 class TestProvenSolveCache:

@@ -1,9 +1,13 @@
-"""The refine request's wire contract: value ranges and the retired ``jobs``.
+"""The refine request's wire contract: value ranges, constraint groups and
+the retired ``jobs``.
 
 :meth:`RefineRequest.validate` range-checks every numeric field before any
 work starts (cases in ``test_engine.py``).  Here the same checks answer a
 typed 400 ``refinement`` error over HTTP, where ``json.loads`` reads a bare
-``NaN`` or ``Infinity``, and exit 2 on the CLI.
+``NaN`` or ``Infinity``, and exit 2 on the CLI.  A constraint group on an
+attribute the dataset's query does not have is a typed 400 ``constraint``
+error (exit 2) on every method; a known attribute with a value no tuple
+carries is a question like any other, answered ``infeasible``.
 
 Every search runs in the serving process.  A request may still carry
 ``"jobs"`` absent, ``null`` or ``1`` (what older clients sent) and gets the
@@ -85,24 +89,55 @@ def test_out_of_range_json_literals_are_a_typed_400(server, method, name, litera
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, code",
     [
-        ["--method", "naive+prov", "--epsilon", "-1"],
-        ["--method", "naive+prov", "--epsilon", "nan"],
-        ["--method", "milp", "--time-limit", "0"],
-        ["--method", "milp+opt", "--deadline", "nan"],
-        ["--method", "naive", "--max-candidates", "-5"],
-        ["--method", "erica", "--output-size", "0"],
+        (["--method", "naive+prov", "--epsilon", "-1"], "refinement"),
+        (["--method", "naive+prov", "--epsilon", "nan"], "refinement"),
+        (["--method", "milp", "--time-limit", "0"], "refinement"),
+        (["--method", "milp+opt", "--deadline", "nan"], "refinement"),
+        (["--method", "naive", "--max-candidates", "-5"], "refinement"),
+        (["--method", "erica", "--output-size", "0"], "refinement"),
+        (["--method", "naive", "--at-most", "1@3:Nope=F"], "constraint"),
+        (["--method", "milp+opt", "--at-most", "1@3:Nope=F"], "constraint"),
     ],
     ids=["epsilon-negative", "epsilon-nan", "time-limit-zero", "deadline-nan",
-         "max-candidates-negative", "output-size-zero"],
+         "max-candidates-negative", "output-size-zero", "group-attribute-naive",
+         "group-attribute-milp+opt"],
 )
-def test_cli_refuses_out_of_range_values(capsys, flags):
+def test_cli_refuses_out_of_range_values(capsys, flags, code):
     argv = ["refine", "--dataset", "students", "--at-least", "3@6:Gender=F", *flags]
     if "--epsilon" not in flags:
         argv += ["--epsilon", "0"]
     assert main(argv) == 2
-    assert "error [refinement]" in capsys.readouterr().err
+    assert f"error [{code}]" in capsys.readouterr().err
+
+
+# -- constraint groups -----------------------------------------------------------------
+
+METHODS = ("naive", "naive+prov", "milp", "milp+opt", "erica", "portfolio")
+
+
+def grouped(method: str, group: dict) -> dict:
+    """The students request with its constraint on ``group`` instead."""
+    constraints = [{"kind": "at_least", "bound": 3, "k": 6, "group": group}]
+    fields = {"deadline_s": 10.0} if method == "portfolio" else {}
+    return wire(method, constraints=constraints, **fields)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_group_on_an_unknown_attribute_is_a_typed_400(server, method):
+    status, answer = post(server, json.dumps(grouped(method, {"Nope": "F"})))
+    assert status == 400, answer
+    assert answer["code"] == "constraint"
+    assert "Nope" in answer["error"]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_group_value_no_tuple_carries_is_answered_infeasible(server, method):
+    status, answer = post(server, json.dumps(grouped(method, {"Gender": "Nope"})))
+    assert status == 200, answer
+    assert answer["status"] == "infeasible"
+    assert answer["feasible"] is False
 
 
 # -- the retired jobs field ------------------------------------------------------------

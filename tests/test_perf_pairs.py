@@ -32,28 +32,29 @@ BENCHMARK = {
 }
 
 
-def _runs(tmp_path, side, values):
-    """One output file per run; ``values`` maps a metric to its run values."""
+def _runs(tmp_path, side, values, failed=0):
+    """One output file per run; ``values`` maps a metric to its run values,
+    and each run fails ``failed`` of its 20 answers."""
     count = len(next(iter(values.values())))
     paths = []
     for index in range(count):
         metrics = {
             name: {"value": series[index], "unit": "x"} for name, series in values.items()
         }
-        result = {"correct": True, "attempted": 20, "failed": 0, "metrics": metrics}
+        result = {"correct": True, "attempted": 20, "failed": failed, "metrics": metrics}
         path = tmp_path / f"{side}{index}.out"
         path.write_text(f"# seed {index}\n{json.dumps(result)}\n")
         paths.append(str(path))
     return paths
 
 
-def _run(tmp_path, parent, change, capsys):
+def _run(tmp_path, parent, change, capsys, failed=(0, 0)):
     benchmark = tmp_path / "BENCHMARK.json"
     benchmark.write_text(json.dumps(BENCHMARK))
     status = perf_pairs.main(
         ["--workload", "exhaustive_warm", "--benchmark", str(benchmark),
-         "--parent", *_runs(tmp_path, "parent", parent),
-         "--change", *_runs(tmp_path, "change", change)]
+         "--parent", *_runs(tmp_path, "parent", parent, failed[0]),
+         "--change", *_runs(tmp_path, "change", change, failed[1])]
     )
     table = capsys.readouterr().out
     verdicts = {}
@@ -128,6 +129,21 @@ def test_a_wide_spread_is_unresolved_unless_every_change_run_wins(tmp_path, caps
     assert status == 0
     assert verdicts["requests_per_s"][1] == "unresolved"
     assert _run(tmp_path, parent, separated, capsys)[1]["requests_per_s"][1] == "gain"
+
+
+def test_a_larger_share_of_failed_answers_fails(tmp_path, capsys):
+    """A change that wins every metric but fails more answers is refused."""
+    parent = {"requests_per_s": [10.0] * 10}
+    change = {"requests_per_s": [20.0] * 10}
+    status, verdicts, table = _run(tmp_path, parent, change, capsys, failed=(0, 1))
+    assert verdicts["requests_per_s"] == ("10 of 10", "gain")
+    assert "change: 10 of 200 answers failed" in table
+    assert table.splitlines()[-1].startswith("verdict `failures`")
+    assert status == 1
+    # The same share as the parent's is no verdict.
+    status, _, table = _run(tmp_path, parent, change, capsys, failed=(1, 1))
+    assert "failures" not in table
+    assert status == 0
 
 
 def test_runs_must_pair_up(tmp_path, capsys):
