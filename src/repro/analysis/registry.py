@@ -128,7 +128,9 @@ FORK_PICKLE_EXEMPT: dict[str, str] = {
 #: Module suffixes whose loops must stay columnar (``hot-path-rowwise``).
 HOT_MODULES: tuple[str, ...] = (
     "repro/core/naive.py",
+    "repro/core/constraints.py",
     "repro/relational/columnar.py",
+    "repro/relational/executor.py",
     "repro/core/milp_builder.py",
 )
 

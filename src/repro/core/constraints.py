@@ -6,7 +6,9 @@ categorical attributes, e.g. ``Gender = 'F'`` or ``Gender = 'F' AND Income =
 requires at least (resp. at most) ``n`` tuples of group ``G`` among the top-k
 of the ranking.  The *deviation* of a ranking from a constraint set
 (Definition 2.6) is the mean relative shortfall across constraints, where
-over-satisfaction is not penalised.
+over-satisfaction is not penalised.  :class:`ResolvedConstraints` resolves
+the groups' memberships over one ranked relation, so the deviation of a
+result over it reads them at the result's positions.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from repro.exceptions import ConstraintError
 from repro.relational.executor import RankedResult
+from repro.relational.relation import Relation
 
 
 class Group:
@@ -107,11 +112,7 @@ class CardinalityConstraint:
     # -- semantics ---------------------------------------------------------------
 
     def count_in(self, result: RankedResult) -> int:
-        """Number of top-k tuples of ``result`` belonging to the group.
-
-        Uses the vectorized equality count over the columnar top-``k`` when
-        available, which is the hot operation of the exhaustive baselines.
-        """
+        """Number of top-k tuples of ``result`` belonging to the group."""
         return result.count_group_in_top_k(self.k, self.group.condition_map)
 
     def shortfall(self, count: int) -> int:
@@ -200,8 +201,16 @@ class ConstraintSet:
     # -- deviation (Definition 2.6) ----------------------------------------------
 
     def deviation(self, result: RankedResult) -> float:
-        """Mean relative violation of the constraints on a ranked result."""
-        total = sum(constraint.deviation(result) for constraint in self._constraints)
+        """Mean relative violation of the constraints on a ranked result.
+
+        Each constraint counts its group among the result's first ``k`` rows;
+        a sweep over many results of one relation resolves the memberships
+        once instead (:class:`ResolvedConstraints`, the same float
+        operations: added to 0.0 in order, which ``sum()`` does not promise
+        for floats)."""
+        total = 0.0
+        for constraint in self._constraints:
+            total += constraint.deviation(result)
         return total / len(self._constraints)
 
     def is_satisfied(self, result: RankedResult, epsilon: float = 0.0) -> bool:
@@ -226,3 +235,42 @@ class ConstraintSet:
     def __repr__(self) -> str:
         inner = ", ".join(constraint.label() for constraint in self._constraints)
         return f"ConstraintSet({inner})"
+
+
+class ResolvedConstraints:
+    """A constraint set resolved over one rank-ordered relation, as a
+    prepared query resolves its selectors: per constraint its prefix ``k``,
+    the group's membership over the relation's rows
+    (:meth:`ColumnStore.members`), ``Sign(c)``, bound and denominator.  The
+    deviation of a result whose positions index that relation then reads
+    each membership at the result's first ``k`` positions.
+    """
+
+    __slots__ = ("ordered", "terms")
+
+    def __init__(
+        self, constraints: Iterable[CardinalityConstraint], ordered: Relation
+    ) -> None:
+        store = ordered.column_store()
+        self.ordered = ordered
+        self.terms = tuple(
+            (
+                constraint.k,
+                store.members(constraint.group.condition_map),
+                constraint.bound_type.sign,
+                constraint.bound,
+                constraint.denominator(),
+            )
+            for constraint in constraints
+        )
+
+    def deviation(self, result: RankedResult) -> float:
+        """Definition 2.6 on a result over ``ordered``: each constraint's
+        ``shortfall(count) / denominator()``, added to 0 in order, then
+        divided by the number of constraints."""
+        positions = result.positions
+        total = 0.0
+        for k, members, sign, bound, denominator in self.terms:
+            top = members[:k] if positions is None else members[positions[:k]]
+            total += max(sign * (bound - int(np.count_nonzero(top))), 0) / denominator
+        return total / len(self.terms)

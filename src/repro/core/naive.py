@@ -2,7 +2,8 @@
 
 ``Naive`` enumerates candidate refinements and re-evaluates each refined query
 on the database, one candidate at a time, by binding the candidate's values
-to the query's prepared shape.  ``Naive+prov`` enumerates the same
+to the query's prepared shape and reading each constraint's group membership
+at the result's first ``k`` positions.  ``Naive+prov`` enumerates the same
 space but evaluates it on the annotated ``~Q(D)`` instead, avoiding the DBMS
 round-trip — the same provenance trick the MILP uses, applied to brute-force
 search.  It evaluates a block of consecutive candidates at a time in a few
@@ -27,7 +28,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.constraints import ConstraintSet
+from repro.core.constraints import ConstraintSet, ResolvedConstraints
 from repro.core.distances import DistanceMeasure, PredicateDistance, get_distance
 from repro.core.refinement import Refinement, RefinementSpace, candidate_digits
 from repro.provenance.lineage import AnnotatedDatabase, annotate_result
@@ -202,11 +203,15 @@ class _BaseExhaustiveSearch:
         """Examine the candidates one at a time, in enumeration order.
 
         The query's shape is prepared once; each candidate's values are bound
-        to it, so a candidate costs one evaluation of the query.  Its
-        predicate distance is summed term by term in the order of
-        :meth:`PredicateDistance.evaluate_refinement`, an outcome distance is
-        read off the bound result, and a :class:`Refinement` is built only
-        for a candidate that improves on the incumbent.
+        to it, so a candidate costs one evaluation of the query.  The
+        constraints are resolved over the relation a result's positions
+        index (:class:`ResolvedConstraints`): once per search on the memory
+        backend, whose results all index the ordered join, and per result on
+        sqlite.  A candidate's predicate distance is summed term by term in
+        the order of :meth:`PredicateDistance.evaluate_refinement`, an
+        outcome distance is read off the bound result, and a
+        :class:`Refinement` is built only for a candidate that improves on
+        the incumbent.
         """
         space, query, constraints = self._space, self.query, self.constraints
         bind = self._executor.prepare(query).bind
@@ -225,6 +230,7 @@ class _BaseExhaustiveSearch:
             ]
         k_star = constraints.k_star
         threshold = self.epsilon + 1e-9
+        resolved = None
         best: tuple[float, Refinement, float] | None = None
         examined = 0
         exhausted = True
@@ -247,7 +253,9 @@ class _BaseExhaustiveSearch:
             result = bind(values if reorder is None else reorder(values))
             if len(result) < k_star:
                 continue
-            deviation = constraints.deviation(result)
+            if resolved is None or resolved.ordered is not result.ordered:
+                resolved = ResolvedConstraints(constraints, result.ordered)
+            deviation = resolved.deviation(result)
             if deviation > threshold:
                 continue
             if terms is None:
@@ -276,11 +284,14 @@ class NaiveSearch(_BaseExhaustiveSearch):
     As a DBMS runs a prepared statement with new parameters, the query's
     shape is prepared once per search (:meth:`QueryExecutor.prepare`) and
     each candidate's values are bound to it: on sqlite one statement per
-    candidate, on the memory backend the swap check, the predicate masks and
-    one coordinate take.  It stays one candidate at a time on purpose: it is
-    the paper's baseline that pays a query evaluation per candidate, and on
-    sqlite it is the ground truth the block kernel of
-    :class:`NaiveProvenanceSearch` is tested against.
+    candidate, on the memory backend the swap check and the predicate masks,
+    whose result is the selected positions over the ordered join.  The
+    constraints' group memberships are resolved over that join once per
+    search, so a candidate's deviation reads them at its first ``k``
+    positions, and a rejected candidate builds no relation.  It stays one
+    candidate at a time on purpose: it is the paper's baseline that pays a
+    query evaluation per candidate, and on sqlite it is the ground truth the
+    block kernel of :class:`NaiveProvenanceSearch` is tested against.
     """
 
     method = "naive"
@@ -523,20 +534,20 @@ class _BlockKernel:
         space: RefinementSpace,
         query: SPJQuery,
         constraints: ConstraintSet,
-        groups: list,
+        base: Relation,
         epsilon: float,
     ) -> None:
         self._data = data
         self._space = space
         self._k_star = constraints.k_star
         self._threshold = epsilon + 1e-9
-        self._groups = [_pack(group) for group in groups]
-        self._constraints = list(constraints)
-        group_index = {group: index for index, group in enumerate(constraints.groups)}
-        #: ``k -> [(constraint index, group index)]``, one entry per prefix length.
+        #: Per constraint ``(k, members, sign, bound, denominator)`` over ``~Q(D)``.
+        self._terms = ResolvedConstraints(constraints, base).terms
+        self._groups = [_pack(members) for _, members, *_ in self._terms]
+        #: ``k -> [constraint index]``, one entry per prefix length.
         self._by_k: dict[int, list] = {}
-        for index, constraint in enumerate(self._constraints):
-            self._by_k.setdefault(constraint.k, []).append((index, group_index[constraint.group]))
+        for index, (k, *_) in enumerate(self._terms):
+            self._by_k.setdefault(k, []).append(index)
         self._all_rows = _pack(np.ones(data.length, dtype=bool))
         self._distinct = None
         words = self._all_rows.shape[0]
@@ -660,7 +671,7 @@ class _BlockKernel:
         """
         words = self._words(block)
         running = np.cumsum(np.bitwise_count(words), axis=1, dtype=np.int32)
-        counts = np.zeros((len(self._constraints), block.size), dtype=np.int64)
+        counts = np.zeros((len(self._terms), block.size), dtype=np.int64)
         for k, members in self._by_k.items():
             within = running <= k
             cut = np.count_nonzero(within, axis=1)
@@ -669,19 +680,17 @@ class _BlockKernel:
             word = words[crossing, column]
             before = np.where(column > 0, running[crossing, column - 1], 0)
             head = word & _LOW_BITS[_bit_cut(word, k - before)]
-            for index, group in members:
-                mask = self._groups[group]
+            for index in members:
+                mask = self._groups[index]
                 hits = np.where(within, np.bitwise_count(words & mask), 0)
                 counts[index] = hits.sum(axis=1)
                 counts[index, crossing] += np.bitwise_count(head & mask[column])
         # Definition 2.6 with the float operations of the scalar deviation.
         total = 0.0
-        for index, constraint in enumerate(self._constraints):
-            shortfall = np.maximum(
-                constraint.bound_type.sign * (constraint.bound - counts[index]), 0
-            )
-            total = total + shortfall / constraint.denominator()
-        deviation = total / len(self._constraints)
+        for index, (_, _, sign, bound, denominator) in enumerate(self._terms):
+            shortfall = np.maximum(sign * (bound - counts[index]), 0)
+            total = total + shortfall / denominator
+        deviation = total / len(self._terms)
         feasible = (running[:, -1] >= self._k_star) & (deviation <= self._threshold)
         return feasible, deviation
 
@@ -760,10 +769,10 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         self._kernel: _BlockKernel | None = None
 
     def _prepare(self, annotated: AnnotatedDatabase) -> None:
-        # The rank-ordered ~Q(D) is needed to materialise candidate outputs;
-        # compute it once here (the executor caches the join and sort) and
-        # derive the kernel's tables from its columns.  Only the immutable
-        # MaskIndexData is shareable (a warm session passes its copy in).
+        # A candidate's output is its positions over the rank-ordered ~Q(D)
+        # (the executor's cached ordered join); the kernel's tables derive
+        # from its columns.  Only the immutable MaskIndexData is shareable
+        # (a warm session passes its copy in).
         self._base = self._executor.evaluate_unfiltered(self.query).relation
         data = self._mask_data
         if data is None:
@@ -771,40 +780,8 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         self._kernel = None
         if data is not None:
             self._kernel = _BlockKernel(
-                data,
-                self._space,
-                self.query,
-                self.constraints,
-                self._group_masks(),
-                self.epsilon,
+                data, self._space, self.query, self.constraints, self._base, self.epsilon
             )
-
-    def _group_masks(self) -> list:
-        """One boolean membership mask over ``~Q(D)`` per constraint group,
-        with the semantics of :meth:`Relation.group_count`."""
-        store = self._base.column_store()
-        masks = []
-        for group in self.constraints.groups:
-            mask = np.ones(store.length, dtype=bool)
-            for attribute, value in group.condition_map.items():
-                mask &= self._condition_mask(store, attribute, value)
-            masks.append(mask)
-        return masks
-
-    def _condition_mask(self, store, attribute: str, value) -> np.ndarray:
-        if attribute not in self._base.schema:
-            # Row semantics: a missing attribute reads as None.
-            return np.full(store.length, value is None, dtype=bool)
-        factorized = store.codes(attribute)
-        try:
-            code = None if factorized is None else factorized[1].get(value, -1)
-        except TypeError:  # an unhashable value: compare row by row
-            code = None
-        if code is None:
-            column = store.array(attribute).tolist()
-            return np.array([bool(item == value) for item in column], dtype=bool)
-        # Codes are non-negative: -1, a value no row holds, matches nothing.
-        return factorized[0] == code
 
     def _sweep(self) -> _SweepOutcome:
         """Walk the enumeration order a block at a time.
@@ -876,11 +853,13 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
 
     def _accept_outcomes(self, block, candidates, deviation, best, stop):
         """Outcome-based distances: the kernel is the feasibility prefilter,
-        and each feasible candidate, in order, gets a materialised result
-        and the scalar ``distance.evaluate``.
+        and each feasible candidate, in order, is read off its positions over
+        ``~Q(D)`` by ``distance.evaluate_rankings``.  A :class:`Refinement`
+        is built only for an improvement.
 
         Returns ``(best, candidates examined, stop reason)``.
         """
+        k_star = self.constraints.k_star
         for evaluated, candidate in enumerate(candidates.tolist()):
             if _settled(best):
                 break
@@ -888,31 +867,14 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
                 reason = stop()
                 if reason is not None:
                     return best, candidate, reason
-            refinement = self._space.refinement(block.values(candidate))
-            refined_query = refinement.apply(self.query)
-            positions = self._kernel.positions(block, candidate)
-            value = self.distance.evaluate(
-                self.query,
-                refined_query,
-                self._original_result,
-                self._materialize(positions, refined_query),
-                self.constraints.k_star,
-            )
+            result = RankedResult(self.query, self._base, self._kernel.positions(block, candidate))
+            value = self.distance.evaluate_rankings(self._original_result, result, k_star)
             if best is None or value < best[0] - IMPROVEMENT_EPSILON:
+                refinement = self._space.refinement(block.values(candidate))
                 best = (value, refinement, float(deviation[candidate]))
                 if self._on_incumbent is not None:
                     self._on_incumbent(*best)
         return best, block.size, None
-
-    def _materialize(self, positions: np.ndarray, refined_query: SPJQuery) -> RankedResult:
-        """The refined query's result as rows of ``~Q(D)`` (already in rank order)."""
-        relation = self._base.take(positions).rename(refined_query.name)
-        projected = (
-            relation.project(list(refined_query.select))
-            if refined_query.select
-            else relation
-        )
-        return RankedResult(query=refined_query, relation=relation, projected=projected)
 
 
 __all__ = [

@@ -22,9 +22,9 @@ root: each is computed there once, and a derived store slices the root's view
 at its coordinates.  A code only identifies a value of the root's column, so
 the views are compared for equality and never read as positions in the
 derived store.  This is what makes the exhaustive baselines cheap — a
-candidate refinement's result is a coordinate set over the shared join, and
-its selection masks and top-k group counts read views the join's root built
-once.
+candidate refinement's result is a set of positions over the shared ordered
+join, and its selection masks and group memberships
+(:meth:`ColumnStore.members`) read views the join's root built once.
 
 This is the memory backend's only engine; the parity tests hold it to the
 sqlite pushdown backend.
@@ -193,14 +193,6 @@ class ColumnStore:
         self._codes[name] = factorized
         return factorized
 
-    def _root_rows(self, stop: int):
-        """``(root, coordinates)`` of this store's first ``stop`` rows in its eager root."""
-        rows = slice(0, stop)
-        if self._source is None:
-            return self, rows
-        root, indices = self._source
-        return root, _compose_coordinates(indices, rows, root.length)
-
     # -- derivations -------------------------------------------------------------
 
     def take(self, indices) -> "ColumnStore":
@@ -231,7 +223,7 @@ class ColumnStore:
 
     def project(self, names: Sequence[str]) -> "ColumnStore":
         """Restrict to a subset of columns: a deferred store over the same root rows."""
-        root, rows = self._root_rows(self.length)
+        root, rows = self._source or (self, slice(0, self.length))
         return ColumnStore._deferred(self.schema.project(names), root, rows, self.length)
 
     def with_column(self, schema: Schema, values: Sequence) -> "ColumnStore":
@@ -326,8 +318,9 @@ class ColumnStore:
         keys = -values if descending else values
         return np.argsort(keys, kind="stable")
 
-    def first_occurrence(self, names: Sequence[str]):
-        """Positions of the first row for each distinct key, in row order.
+    def first_occurrence(self, names: Sequence[str], rows=None):
+        """Positions of the first row for each distinct key, in row order,
+        among ``rows`` (ascending positions; every row when ``None``).
 
         Raises ``TypeError`` when a key column holds an unhashable value.
         """
@@ -336,49 +329,44 @@ class ColumnStore:
             factorized = self.codes(name)
             if factorized is None:
                 raise TypeError(f"column {name!r} holds an unhashable value")
-            columns.append(factorized[0])
+            columns.append(factorized[0] if rows is None else factorized[0][rows])
+        if rows is None:
+            rows = np.arange(self.length)
         if not columns:
-            return np.arange(min(self.length, 1))
+            return rows[:1]
         if len(columns) == 1:
             _, first = np.unique(columns[0], return_index=True)
         else:
             stacked = np.stack(columns, axis=1)
             _, first = np.unique(stacked, axis=0, return_index=True)
-        return np.sort(first)
+        return rows[np.sort(first)]
 
-    def count_conditions(
-        self, conditions: Mapping[str, object], limit: int | None = None
-    ):
-        """Rows among the first ``limit`` (all when ``None``) satisfying every
-        ``attribute == value`` condition; ``None`` -> caller fallback.
-
-        Compares the root's codes at those rows' coordinates, so counting a
-        result's top-k gathers ``k`` codes per condition and nothing else.
-        """
-        count = self.length if limit is None else min(max(limit, 0), self.length)
-        root, rows = self._root_rows(count)
-        mask = None
+    def members(self, conditions: Mapping[str, object], rows=None):
+        """Whether each row among ``rows`` (positions or a slice; every row
+        when ``None``) satisfies every ``attribute == value`` condition: the
+        one definition of group membership, with row semantics.  A missing
+        attribute reads as ``None``, and a value no row holds matches
+        nothing; the root's codes are compared, or the values row by row
+        where the value or the column is unhashable."""
+        rows = slice(None) if rows is None else rows
+        mask = np.ones(self.length, dtype=bool)[rows]
         for attribute, value in conditions.items():
-            if attribute not in self.schema:
-                return None
-            factorized = root.codes(attribute)
-            if factorized is None:
-                return None
-            codes, mapping = factorized
-            try:
-                code = mapping.get(value)
-            except TypeError:
-                return None
-            if code is None:
-                return 0
-            part = codes[rows] == code
-            if mask is None:
-                mask = part
-            else:
-                mask &= part
-        if mask is None:
-            return count
-        return int(np.count_nonzero(mask))
+            mask &= self._equals(attribute, value, rows)
+        return mask
+
+    def _equals(self, attribute: str, value, rows):
+        if attribute not in self.schema:
+            return value is None
+        factorized = self.codes(attribute)
+        try:
+            code = None if factorized is None else factorized[1].get(value, -1)
+        except TypeError:  # an unhashable value
+            code = None
+        if code is None:
+            column = self.array(attribute)[rows].tolist()
+            return np.array([bool(item == value) for item in column], dtype=bool)
+        # Codes are non-negative: -1, a value no row holds, matches nothing.
+        return factorized[0][rows] == code
 
 
 def selection(selectors: Sequence, constants: Sequence):

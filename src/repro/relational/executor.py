@@ -29,7 +29,6 @@ from __future__ import annotations
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -104,9 +103,16 @@ class _SQLiteConnectionPool:
                 executor.close()
 
 
-@dataclass(frozen=True)
 class RankedResult:
-    """The ranked output of an SPJ query.
+    """The ranked output of an SPJ query: the rows of a rank-ordered relation
+    at given positions.
+
+    A memory result is its row positions, after DISTINCT, over the
+    executor's cached ordered join: its length reads the positions, a top-k
+    group count reads the group's membership at the first ``k`` of them, and
+    ``relation`` and ``projected`` are built on first read.  ``~Q``'s result
+    is the ordered join itself.  A sqlite result is the relation gathered
+    from its pushdown coordinates, all its rows.
 
     Attributes
     ----------
@@ -116,26 +122,53 @@ class RankedResult:
         :meth:`QueryExecutor.prepare`: its tables, ranking, projection and
         DISTINCT, all that a result reads, are the bound query's, but its
         constants are its own.
-    relation:
-        The full-width result: joined rows that satisfy the selection, ordered
-        by the ``ORDER BY`` clause, de-duplicated when the query is DISTINCT.
-        Keeping the full width (not just the projected columns) lets
-        cardinality constraints test group membership on attributes that are
-        not part of the projection.
-    projected:
-        The user-visible projection of ``relation``.
+    ordered:
+        The rank-ordered relation the positions index: the ordered join on
+        the memory backend, the gathered result on sqlite.
+    positions:
+        The result's rows in ``ordered``, ascending (rank order); ``None``
+        for every row.
     """
 
-    query: SPJQuery
-    relation: Relation
-    projected: Relation
+    __slots__ = ("query", "ordered", "positions", "_relation", "_projected")
+
+    def __init__(self, query: SPJQuery, ordered: Relation, positions=None) -> None:
+        self.query = query
+        self.ordered = ordered
+        self.positions = positions
+        self._relation = ordered if positions is None else None
+        self._projected = None
 
     def __len__(self) -> int:
-        return len(self.relation)
+        return len(self.ordered) if self.positions is None else len(self.positions)
+
+    @property
+    def relation(self) -> Relation:
+        """The full-width result: joined rows that satisfy the selection,
+        ordered by the ``ORDER BY`` clause, de-duplicated when the query is
+        DISTINCT.  Keeping the full width (not just the projected columns)
+        lets cardinality constraints test group membership on attributes
+        that are not part of the projection."""
+        if self._relation is None:
+            self._relation = self.ordered.take(self.positions)
+        return self._relation
+
+    @property
+    def projected(self) -> Relation:
+        """The user-visible projection of ``relation``."""
+        if self._projected is None:
+            select = self.query.select
+            self._projected = self.relation.project(select) if select else self.relation
+        return self._projected
+
+    def _top(self, k: int):
+        """Positions in ``ordered`` of the first ``k`` rows."""
+        k = max(k, 0)
+        return slice(0, k) if self.positions is None else self.positions[:k]
 
     def top_k(self, k: int) -> Relation:
         """The top-``k`` rows of the full-width result."""
-        return self.relation.head(k)
+        return self.ordered.take(self._top(k))
 
     def item_key(self, position: int) -> tuple[object, ...]:
         """Identity of the item at ``position`` for set/rank comparisons.
@@ -151,28 +184,24 @@ class RankedResult:
         """Identities of the top-``k`` items, in rank order.
 
         Materialises only the top-``k`` rows (not the full result), keeping
-        outcome-based distance evaluation cheap on columnar results.
+        outcome-based distance evaluation cheap.
         """
-        source = (
-            self.projected
-            if self.query.distinct and self.query.select
-            else self.relation
-        )
-        return source.head(k).rows
+        top = self.top_k(k)
+        if self.query.distinct and self.query.select:
+            top = top.project(self.query.select)
+        return top.rows
 
     def count_in_top_k(self, k: int, member: Callable[[dict], bool]) -> int:
         """Number of top-``k`` rows satisfying a group-membership test."""
-        return sum(
-            1 for values in self.relation.head(k).iter_dicts() if member(values)
-        )
+        # repro-lint: disable=hot-path-rowwise -- a callable membership test reads row dicts; only the CLI inspect command and the examples call it
+        return sum(1 for values in self.top_k(k).iter_dicts() if member(values))
 
     def count_group_in_top_k(self, k: int, conditions: Mapping[str, object]) -> int:
-        """Number of top-``k`` rows matching equality ``conditions``.
-
-        Counted on the root's codes at the result's first ``k`` coordinates:
-        no top-``k`` store or relation is built.
-        """
-        return self.relation.group_count(conditions, limit=k)
+        """Number of top-``k`` rows matching equality ``conditions``: the
+        group's membership (:meth:`ColumnStore.members`) of the first ``k``
+        positions only, so a count costs ``k``, not the ordered join."""
+        members = self.ordered.column_store().members(conditions, self._top(k))
+        return int(np.count_nonzero(members))
 
     def scores(self) -> list[float]:
         """Values of the ranking attribute, in rank order (``None`` scores as 0)."""
@@ -205,10 +234,11 @@ class PreparedQuery:
     join and resolves, over the ordered join's root, every predicate's float
     view or code table and its comparison (:meth:`ColumnStore.selectors`);
     the executor keeps that resolution for every later query of the shape.
-    A binding then costs the check that no relation was swapped, its masks,
-    one coordinate take and DISTINCT.  On ``sqlite`` a binding fills in the
-    per-shape pushdown statement.  A prepared query is immutable, so
-    concurrent searches share it.
+    A binding then costs the check that no relation was swapped, its masks
+    and DISTINCT, and returns the selected positions over the ordered join:
+    no relation is built until the result's rows are read.  On ``sqlite`` a
+    binding fills in the per-shape pushdown statement.  A prepared query is
+    immutable, so concurrent searches share it.
     """
 
     __slots__ = ("query", "_executor", "_relations", "_ordered", "_selectors")
@@ -230,7 +260,8 @@ class PreparedQuery:
     def bind(self, constants: Sequence) -> RankedResult:
         """The result of the query with ``constants`` in place of its own, one
         per predicate as :attr:`Conjunction.constants` lists them: the rows,
-        projection and length ``evaluate`` gives the bound query.  Its
+        projection and length ``evaluate`` gives the bound query, as its
+        positions over the ordered join on the memory backend.  Its
         ``query`` is the prepared one (see :attr:`RankedResult.query`)."""
         query = self.query
         executor = self._executor
@@ -241,18 +272,17 @@ class PreparedQuery:
         ):
             # A relation was swapped since preparing: bind the shape over it.
             return executor.prepare(query).bind(constants)
-        if self._selectors:
-            selected = self._ordered.take(
-                columnar.selection(self._selectors, constants).nonzero()[0]
-            )
+        ordered, selectors = self._ordered, self._selectors
+        if selectors is None:
+            # A predicate column without a view: the row path.
+            positions = ordered.matching(query.where.bind(constants))
+        elif selectors:
+            positions = columnar.selection(selectors, constants).nonzero()[0]
         else:
-            # No predicate (``~Q`` keeps every row) or a predicate column
-            # without a view (the row path): Relation.select's own rules.
-            selected = self._ordered.select(query.where.bind(constants))
+            positions = None  # no predicate: ``~Q`` keeps every row
         if query.distinct and query.select:
-            selected = executor._deduplicate(selected, query.select)
-        projected = selected.project(query.select) if query.select else selected
-        return RankedResult(query=query, relation=selected, projected=projected)
+            positions = ordered.column_store().first_occurrence(query.select, positions)
+        return RankedResult(query, ordered, positions)
 
 
 class QueryExecutor:
@@ -272,7 +302,8 @@ class QueryExecutor:
     counts read are computed once on the join's eager root.  ``evaluate``
     binds a query's own constants to its prepared shape; ``Naive`` prepares
     the shape once per search and binds each candidate's.  A binding costs
-    the swap check, its predicate masks and one coordinate take.
+    the swap check and its predicate masks, and its result is the selected
+    positions over the ordered join (:class:`RankedResult`).
 
     On the ``sqlite`` backend the join, selection, ordering and DISTINCT all
     run inside sqlite over indexed base tables; the executor only gathers the
@@ -458,9 +489,8 @@ class QueryExecutor:
             and query.select
             and not sqlite.supports_distinct_pushdown
         ):
-            relation = self._deduplicate(relation, query.select)
-        projected = relation.project(query.select) if query.select else relation
-        return RankedResult(query=query, relation=relation, projected=projected)
+            relation = relation.take(relation.column_store().first_occurrence(query.select))
+        return RankedResult(query, relation)
 
     def _gather(
         self,
@@ -513,11 +543,6 @@ class QueryExecutor:
                     joined = joined.natural_join(relation)
                 self._join_cache[tables] = cached = (relations, joined)
             return cached
-
-    @staticmethod
-    def _deduplicate(ordered: Relation, select: Sequence[str]) -> Relation:
-        """Keep only the best-ranked row for each combination of DISTINCT values."""
-        return ordered.take(ordered.column_store().first_occurrence(list(select)))
 
     @staticmethod
     def _validate(query: SPJQuery, schema: Schema) -> None:

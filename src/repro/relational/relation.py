@@ -187,26 +187,28 @@ class Relation:
 
     def select(self, condition: Conjunction | Callable[[dict], bool]) -> "Relation":
         """Rows satisfying ``condition`` (a Conjunction or a row-dict callable)."""
+        if isinstance(condition, Conjunction) and not len(condition):
+            # TRUE selects everything; relations are immutable, so callers
+            # can share this one instead of gathering a full copy.
+            return self
+        return self.take(self.matching(condition))
+
+    def matching(self, condition: Conjunction | Callable[[dict], bool]) -> np.ndarray:
+        """Positions of the rows satisfying ``condition``, in row order."""
         if isinstance(condition, Conjunction):
-            if not len(condition):
-                # TRUE selects everything; relations are immutable, so the
-                # unfiltered ~Q evaluations can share this one instead of
-                # gathering a full copy.
-                return self
             mask = self._columns().mask(condition)
             if mask is not None:
-                return self.take(mask.nonzero()[0])
+                return mask.nonzero()[0]
             predicate = condition.matches
         else:
             predicate = condition
-        # Callable (or mask-incompatible) conditions evaluate row by row; the
-        # result is still a coordinate take over the shared store.
+        # Callable (or mask-incompatible) conditions evaluate row by row.
         kept = [
             position
             for position, values in enumerate(self.iter_dicts())
             if predicate(values)
         ]
-        return self.take(np.asarray(kept, dtype=np.int64))
+        return np.asarray(kept, dtype=np.int64)
 
     def take(self, positions) -> "Relation":
         """Rows at the given positions, in the given order."""
@@ -321,25 +323,6 @@ class Relation:
     def count_where(self, condition: Callable[[dict], bool]) -> int:
         """Number of rows satisfying a row-dict predicate."""
         return sum(1 for values in self.iter_dicts() if condition(values))
-
-    def group_count(
-        self, conditions: Mapping[str, object], limit: int | None = None
-    ) -> int:
-        """Rows among the first ``limit`` (all when ``None``) matching every
-        ``attribute == value`` equality condition.
-
-        This is the vectorized membership count behind cardinality-constraint
-        evaluation; missing attributes read as ``None`` (row semantics).
-        """
-        fast = self._columns().count_conditions(conditions, limit)
-        if fast is not None:
-            return fast
-        relation = self if limit is None else self.head(limit)
-        return relation.count_where(
-            lambda row: all(
-                row.get(attribute) == value for attribute, value in conditions.items()
-            )
-        )
 
     def min_max(self, attribute: str) -> tuple[float, float]:
         """Minimum and maximum of a numerical attribute (ignores ``None``)."""

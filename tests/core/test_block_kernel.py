@@ -17,6 +17,7 @@ for bit.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from repro.core import (
 )
 from repro.core.distances import PredicateDistance
 from repro.core.naive import _improvements
-from repro.core.refinement import RefinementSpace
+from repro.core.refinement import Refinement, RefinementSpace
 from repro.datasets import load_dataset, scale_database
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.provenance.lineage import annotate
@@ -320,6 +321,48 @@ def test_stop_requested_mid_search_ends_it_within_one_block():
     assert result.cancelled
     assert not result.exhausted
     assert result.candidates_examined == sizes[0] + sizes[1]
+
+
+@pytest.mark.parametrize("distance", ["jaccard", "kendall"])
+def test_outcome_distances_build_a_refinement_only_for_an_improvement(monkeypatch, distance):
+    """Counted, not timed: under Jaccard and Kendall the sweep reads each
+    feasible candidate's distance off its positions over ``~Q(D)``; it
+    builds a Refinement only for an improvement and applies none."""
+    calls: Counter = Counter()
+    sweeping: list = []
+    for name in ("__post_init__", "apply"):
+
+        def counted(*args, _real=getattr(Refinement, name), _name=name, **kwargs):
+            calls[_name, bool(sweeping)] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(Refinement, name, counted)
+    sweep = NaiveProvenanceSearch._sweep
+
+    def counted_sweep(search):
+        sweeping.append(search)
+        try:
+            return sweep(search)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(NaiveProvenanceSearch, "_sweep", counted_sweep)
+    bundle = load_dataset("meps", num_rows=1200)
+    improvements = []
+    result = NaiveProvenanceSearch(
+        bundle.database,
+        bundle.query,
+        ConstraintSet([at_least(5, 10, Sex="F")]),
+        epsilon=0.5,
+        distance=distance,
+        on_incumbent=lambda *incumbent: improvements.append(incumbent),
+    ).search()
+    assert result.exhausted
+    assert result.candidates_examined == result.space_size > 1000
+    assert len(improvements) > 1
+    assert calls["__post_init__", True] == len(improvements)
+    assert calls["apply", True] == 0
+    assert result.refinement is improvements[-1][1]
 
 
 def test_stop_is_polled_between_outcome_distance_evaluations():

@@ -7,7 +7,8 @@ types, projection, distinct keys, scores) on every registered dataset and on
 synthesized copies of each, including DISTINCT ranking queries.  The
 ``Naive+prov`` block kernel's selected rows are held to sqlite's answer for
 each refined query.  On both backends, a prepared query bound to a
-candidate's constants answers as the executor answers the refined query.
+candidate's constants answers as sqlite's eager result of the refined query,
+top-k group counts included.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.relational import (
     Database,
     NumericalPredicate,
     QueryExecutor,
+    RankedResult,
     Relation,
     Schema,
     SPJQuery,
@@ -169,7 +171,7 @@ def test_candidate_mask_evaluation_matches_sqlite(name):
         if positions is None:
             assert len(expected) < constraints.k_star
             continue
-        _identical(search._materialize(positions, refined_query), expected)
+        _identical(RankedResult(refined_query, search._base, positions), expected)
         checked += 1
     assert checked >= min(40, search._space.size())
 
@@ -259,6 +261,48 @@ def _bound_identical(bound, expected):
     assert list(map(repr, bound.projected.rows)) == list(map(repr, expected.projected.rows))
 
 
+#: The groups of Table 6 per dataset (students: the running example's).
+_TABLE6_GROUPS = {
+    "students": [{"Gender": "F"}, {"Gender": "M"}, {"Income": "High"}, {"Income": "Low"}],
+    "astronauts": [
+        {"Gender": "F"}, {"Gender": "M"},
+        {"Status": "Active"}, {"Status": "Management"}, {"Status": "Retired"},
+    ],
+    "law_students": [
+        {"Sex": "F"}, {"Sex": "M"}, {"Race": "Black"}, {"Race": "White"}, {"Race": "Asian"},
+    ],
+    "meps": [{"Sex": "F"}, {"Sex": "M"}, {"Race": "Asian"}, {"Race": "Black"}, {"Race": "White"}],
+    "tpch": [
+        {"OrderPriority": "5-LOW"}, {"OrderPriority": "3-MEDIUM"},
+        {"MktSegment": "AUTOMOBILE"}, {"MktSegment": "BUILDING"}, {"MktSegment": "MACHINERY"},
+    ],
+}
+
+
+def _member(group):
+    """The row-dict membership test of a group (a missing attribute reads as None)."""
+    return lambda row: all(row.get(attribute) == value for attribute, value in group.items())
+
+
+def _answers_as_sqlite(bound, expected, groups):
+    """A binding answers as sqlite's eager result: rows, projection, length,
+    item keys, scores, top-k keys and the top-k count of every group, which
+    the row-dict membership test of the group also gives."""
+    _bound_identical(bound, expected)
+    size = len(expected)
+    assert bound.scores() == expected.scores()
+    for position in sorted({0, size // 2, size - 1}) if size else ():
+        assert bound.item_key(position) == expected.item_key(position)
+    for k in sorted({1, 10, size + 3}):
+        assert bound.top_k_keys(k) == expected.top_k_keys(k)
+        for group in groups:
+            count = expected.count_group_in_top_k(k, group)
+            assert bound.count_group_in_top_k(k, group) == count
+            if k == 10:
+                member = _member(group)
+                assert bound.count_in_top_k(k, member) == expected.count_in_top_k(k, member) == count
+
+
 def _sampled_candidates(space, seed):
     """Candidates drawn value by value, with a fixed ``seed``, from the first
     values of each dimension (a categorical dimension can hold 2^114 subsets)."""
@@ -276,16 +320,32 @@ def _sampled_candidates(space, seed):
 def test_a_binding_answers_as_the_refined_query(name, copy_seed, backend):
     """Sampled candidates of every registered dataset (DISTINCT on students,
     the four-table join on tpch) and of synthesized copies, and a categorical
-    value no tuple carries: ``prepare(Q).bind(constants)`` returns what
-    ``evaluate`` returns for the refined query."""
+    value no tuple carries: ``prepare(Q).bind(constants)`` answers as
+    sqlite's eager result for the refined query, down to the top-k count of
+    every Table 6 group, of a value no tuple carries (none) and of an
+    attribute the join lacks (read as ``None``).  On the memory backend a
+    binding indexes the ordered join that is ``~Q``'s result itself."""
     bundle = _bundle(name)
     database = bundle.database
     if copy_seed is not None:
         database = scale_database(database, 1.0, seed=copy_seed)
     query = bundle.query
     executor = QueryExecutor(database, backend=backend)
+    sqlite = QueryExecutor(database, backend="sqlite")
     space = RefinementSpace(query, annotate(query, database))
     prepared = executor.prepare(query)
+    table6 = _TABLE6_GROUPS[name]
+    attribute = next(iter(table6[0]))
+    groups = table6 + [
+        {attribute: "Atlantis"},
+        {"Nope": "F"},
+        {"Nope": None},
+        {**table6[0], **table6[-1]},
+    ]
+    if backend == "memory":
+        unfiltered = executor.evaluate_unfiltered(query)
+        assert unfiltered.relation is unfiltered.ordered
+        assert prepared.bind(query.where.constants).ordered is unfiltered.ordered
     refinements = [
         space.refinement(values)
         for values in _sampled_candidates(space, seed=f"{name}/{copy_seed}")
@@ -295,7 +355,13 @@ def test_a_binding_answers_as_the_refined_query(name, copy_seed, backend):
         refinements.append(absent)
     for refinement in refinements:
         refined = refinement.apply(query)
-        _bound_identical(prepared.bind(refined.where.constants), executor.evaluate(refined))
+        bound = prepared.bind(refined.where.constants)
+        expected = sqlite.evaluate(refined)
+        _answers_as_sqlite(bound, expected, groups)
+        size = len(expected)
+        assert bound.count_group_in_top_k(10, {attribute: "Atlantis"}) == 0
+        assert bound.count_group_in_top_k(10, {"Nope": "F"}) == 0
+        assert bound.count_group_in_top_k(10, {"Nope": None}) == min(10, size)
 
 
 def _scored(rows):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import pickle
 import weakref
 from collections import Counter
@@ -224,7 +225,10 @@ class TestWarmExecutorShapes:
         """Counted, not timed: the sweep prepares the query's shape once and
         binds each candidate's values to it; it builds a Refinement only for
         an improvement on the incumbent (the final result's is the last one)
-        and never applies one, which the result does once."""
+        and never applies one, which the result does once.  A binding is its
+        positions over the ordered join, and the constraints' group
+        memberships are resolved once per search, so no candidate builds a
+        column store or a relation."""
         calls: Counter = Counter()
         sweeping: list = []
 
@@ -235,6 +239,8 @@ class TestWarmExecutorShapes:
                 calls[name, bool(sweeping)] += 1
                 return real(*args, **kwargs)
 
+            if isinstance(inspect.getattr_static(owner, name), classmethod):
+                counted = staticmethod(counted)
             monkeypatch.setattr(owner, name, counted)
 
         for owner, name in (
@@ -242,6 +248,9 @@ class TestWarmExecutorShapes:
             (PreparedQuery, "bind"),
             (Refinement, "__post_init__"),
             (Refinement, "apply"),
+            (columnar.ColumnStore, "_deferred"),
+            (columnar.ColumnStore, "members"),
+            (Relation, "from_store"),
         ):
             count(owner, name)
         sweep = NaiveSearch._sweep
@@ -275,10 +284,38 @@ class TestWarmExecutorShapes:
         assert result.refinement is improvements[-1][1]
         assert calls["apply", True] == 0
         assert calls["apply", False] == 1
+        assert calls["_deferred", True] == 0
+        assert calls["from_store", True] == 0
+        assert calls["members", True] == len(constraints)
         # Each improvement's distance, summed term by term from its values.
         for distance, refinement, _ in improvements:
             expected = PredicateDistance().evaluate_refinement(bundle.query, refinement)
             assert distance.hex() == expected.hex()
+
+    def test_counting_one_result_reads_only_its_first_k_rows(self, monkeypatch):
+        """Counted, not timed: one result's deviation and counts read each
+        group's membership of its first ``k`` rows, not of the whole ordered
+        join, so they cost the same at any scale."""
+        read = []
+        members = columnar.ColumnStore.members
+
+        def spy(store, *args, **kwargs):
+            mask = members(store, *args, **kwargs)
+            read.append(mask.size)
+            return mask
+
+        monkeypatch.setattr(columnar.ColumnStore, "members", spy)
+        bundle = load_dataset("meps", num_rows=1200)
+        executor = QueryExecutor(bundle.database, backend="memory")
+        constraints = ConstraintSet([at_least(5, 10, Sex="F"), at_most(4, 20, Race="White")])
+        selected = executor.evaluate(bundle.query)
+        unfiltered = executor.evaluate_unfiltered(bundle.query)
+        assert len(unfiltered) == len(selected.ordered) > len(selected) > 20
+        for result in (selected, unfiltered):
+            read.clear()
+            constraints.deviation(result)
+            constraints.counts(result)
+            assert read == [10, 20, 10, 20]
 
 
 class TestSQLGeneration:

@@ -74,15 +74,25 @@ class TestExecutorThreadSafety:
     ):
         """Concurrent searches share one prepared shape: each thread binds
         its own constants, under a short switch interval, and must get the
-        rows of its own binding, never another thread's."""
+        rows and top-k group counts of its own binding, never another
+        thread's.  The threads also read one shared result per binding,
+        whose relations are built lazily by whichever thread reads first."""
         executor, query = build_executor(backend, tmp_path)
         prepared = executor.prepare(query)
         bindings = [(3.7, {"RB"}), (3.0, {"RB", "SO"}), (3.5, {"SO"}), (0.0, {"GD", "SO"})]
+        groups = [{"Gender": "F"}, {"Income": "High"}, {"Gender": "M", "Income": "Low"}]
+
+        def answer(result):
+            counts = [result.count_group_in_top_k(k, group) for k in (3, 6) for group in groups]
+            return result.projected.rows, counts
+
         expected = [
-            executor.evaluate(query.with_where(query.where.bind(constants))).projected.rows
+            answer(executor.evaluate(query.with_where(query.where.bind(constants))))
             for constants in bindings
         ]
-        assert len(set(map(tuple, expected))) == len(expected)
+        assert len({tuple(rows) for rows, _ in expected}) == len(expected)
+        assert len({tuple(counts) for _, counts in expected}) > 1
+        shared = [prepared.bind(constants) for constants in bindings]
         errors: list[BaseException] = []
         barrier = threading.Barrier(THREADS)
 
@@ -91,8 +101,8 @@ class TestExecutorThreadSafety:
                 barrier.wait(timeout=30)
                 for round_ in range(ROUNDS * len(bindings)):
                     index = (offset + round_) % len(bindings)
-                    rows = prepared.bind(bindings[index]).projected.rows
-                    assert rows == expected[index]
+                    assert answer(prepared.bind(bindings[index])) == expected[index]
+                    assert answer(shared[index]) == expected[index]
             except BaseException as error:  # noqa: BLE001 - collected for the assert
                 errors.append(error)
 
