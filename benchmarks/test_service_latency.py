@@ -56,8 +56,7 @@ def run_cold_cli() -> tuple[float, dict]:
     env["PYTHONPATH"] = os.path.join(repo_root, "src")
     # Pin the execution environment so cold and warm measure the same
     # configuration regardless of the CI job's backend matrix.
-    for variable in ("REPRO_EXECUTOR_BACKEND", "REPRO_EXECUTOR_DB"):
-        env.pop(variable, None)
+    env.pop("REPRO_EXECUTOR_BACKEND", None)
     start = time.perf_counter()
     completed = subprocess.run(
         [

@@ -90,13 +90,6 @@ def _build_checked_class(base: type, extra_methods: tuple[str, ...] = ()) -> typ
     }
     for method_name in _CHECKED_METHODS + extra_methods:
         namespace[method_name] = _checking(method_name, base)
-
-    # Pickling must bypass the checks (pickling is single-threaded and the
-    # fork-pickle rule already polices which objects may be pickled at all).
-    def __reduce__(self: object) -> tuple:
-        return (base, (list(base.items(self)),))  # type: ignore[attr-defined]
-
-    namespace["__reduce__"] = __reduce__
     return type(f"LockChecked{base.__name__.capitalize()}", (base,), namespace)
 
 
@@ -126,17 +119,6 @@ def guard_mapping(mapping: _M, lock: object, owner: str) -> _M:
     return proxy  # type: ignore[return-value]
 
 
-def plain_copy(mapping: dict) -> dict:
-    """Copy a dict-backed mapping into a plain dict without lock checks.
-
-    For re-arming proxies after fork/unpickle, when the old lock object is
-    gone and could never be "held".  Defined for plain dicts only: copying an
-    OrderedDict this way would lose its LRU reordering, and every proxied
-    OrderedDict owner is fork/pickle-exempt anyway.
-    """
-    return dict(dict.items(mapping))
-
-
 def _self_test() -> None:  # pragma: no cover - manual smoke hook
     lock = threading.RLock()
     guarded = guard_mapping({}, lock, "self-test") if enabled() else None
@@ -158,5 +140,4 @@ __all__ = [
     "LockCheckedOrderedDict",
     "enabled",
     "guard_mapping",
-    "plain_copy",
 ]

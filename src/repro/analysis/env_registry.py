@@ -37,13 +37,6 @@ ENV_VARS: tuple[EnvVar, ...] = (
         "explicit `backend=` (`memory` or `sqlite`).",
     ),
     EnvVar(
-        "REPRO_EXECUTOR_DB",
-        "(unset)",
-        SCOPE_RUNTIME,
-        "Path of a persistent on-disk sqlite store; implies the sqlite "
-        "backend when none is selected explicitly.",
-    ),
-    EnvVar(
         "REPRO_MILP_BACKEND",
         "(auto)",
         SCOPE_RUNTIME,

@@ -80,13 +80,16 @@ LOCK_GUARDS: dict[str, GuardSpec] = {
 #: ``__getstate__``/``__setstate__`` (``fork-pickle-hygiene``).  Every entry
 #: documents why the class can never cross a pickle/fork boundary intact.
 FORK_PICKLE_EXEMPT: dict[str, str] = {
+    "QueryExecutor": (
+        "shared by the threads of one process (a session, a search or a "
+        "solver owns it); never pickled"
+    ),
     "_SQLiteConnectionPool": (
-        "never pickled directly; QueryExecutor.__getstate__ drops the whole "
-        "pool and __setstate__ rebuilds it empty"
+        "lives only inside its QueryExecutor, which never leaves its process"
     ),
     "SQLiteExecutor": (
-        "lives only inside _SQLiteConnectionPool, which the owning "
-        "QueryExecutor drops before pickling; an unpickled copy opens its own"
+        "one thread's in-memory store inside _SQLiteConnectionPool; it never "
+        "leaves its process"
     ),
     "_InFlight": (
         "request-scoped leader/waiter pair; exists only inside "
@@ -98,8 +101,8 @@ FORK_PICKLE_EXEMPT: dict[str, str] = {
     ),
     "ShadowEngine": "server-resident rollout facade; never crosses a process",
     "DatasetSession": (
-        "server-resident warm state; sessions are rebuilt from the shared "
-        "persistent sqlite store, never shipped between processes"
+        "server-resident warm state; each process builds its own sessions, "
+        "none is shipped between processes"
     ),
     "SessionPool": "server-resident LRU over sessions; never pickled",
     "RaceControl": (

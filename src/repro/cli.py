@@ -16,12 +16,11 @@ Solve a refinement problem (the running example)::
         --at-least 3@6:Gender=F --at-most 1@3:Income=High \
         --epsilon 0 --distance pred --method milp+opt
 
-Run the provenance-accelerated exhaustive baseline against a persisted
-on-disk sqlite database::
+Run the provenance-accelerated exhaustive baseline on the sqlite backend::
 
     python -m repro refine --dataset meps --rows 1200 \
         --at-least 5@10:Sex=F --method naive+prov \
-        --executor-db /tmp/meps.sqlite
+        --executor-backend sqlite
 
 Constraint syntax: ``BOUND@K:Attr=Value[,Attr2=Value2]`` — e.g. ``3@6:Gender=F``
 means "at least/at most 3 tuples of the group Gender=F within the top-6".
@@ -166,7 +165,6 @@ def _one_shot_engine(args: argparse.Namespace):
             args.dataset,
             _dataset_parameters(args),
             executor_backend=args.executor_backend,
-            executor_db=args.executor_db,
         )
     )
     return RefinementEngine(sessions=pool)
@@ -331,11 +329,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.service.session import SessionPool
     from repro.service.shadow import ShadowEngine
 
-    pool = SessionPool(
-        capacity=args.sessions,
-        executor_backend=args.executor_backend,
-        executor_db_dir=args.executor_db_dir,
-    )
+    pool = SessionPool(capacity=args.sessions, executor_backend=args.executor_backend)
     engine = RefinementEngine(sessions=pool)
     shadow = None
     if args.shadow_method is not None:
@@ -457,12 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query execution backend (default: REPRO_EXECUTOR_BACKEND or memory)",
     )
     refine_parser.add_argument(
-        "--executor-db", default=None, metavar="PATH",
-        help="persist the sqlite execution backend to PATH (selects the "
-        "sqlite backend unless --executor-backend/REPRO_EXECUTOR_BACKEND "
-        "chooses one explicitly; default: REPRO_EXECUTOR_DB)",
-    )
-    refine_parser.add_argument(
         "--num-solutions", type=int, default=1,
         help="solutions to enumerate with --method erica",
     )
@@ -495,10 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--executor-backend", default=None, choices=["memory", "sqlite"],
         help="query execution backend for every session",
-    )
-    serve_parser.add_argument(
-        "--executor-db-dir", default=None, metavar="DIR",
-        help="directory for per-session persisted sqlite stores",
     )
     serve_parser.add_argument(
         "--default-deadline", type=float, default=None, metavar="SECONDS",
@@ -568,8 +552,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "executor_db", None) and getattr(args, "executor_backend", None) == "memory":
-        parser.error("--executor-db requires the sqlite backend; drop --executor-backend memory")
     handlers = {
         "datasets": _command_datasets,
         "inspect": _command_inspect,

@@ -114,7 +114,6 @@ class EricaBaseline:
         output_size: int | None = None,
         backend: str = "auto",
         executor_backend: str | None = None,
-        executor_db: str | None = None,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
     ) -> None:
@@ -126,9 +125,7 @@ class EricaBaseline:
         self.distance = PredicateDistance()
         # A warm dataset session shares its executor and pre-annotated ~Q(D);
         # one-shot callers build both here.
-        self._executor = executor or QueryExecutor(
-            database, backend=executor_backend, db_path=executor_db
-        )
+        self._executor = executor or QueryExecutor(database, backend=executor_backend)
         self._warm_annotated = annotated
 
     def solve(self, num_solutions: int = 1, time_limit: float | None = None) -> EricaResult:

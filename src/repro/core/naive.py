@@ -126,7 +126,6 @@ class _BaseExhaustiveSearch:
         timeout: float | None = None,
         max_candidates: int | None = None,
         executor_backend: str | None = None,
-        executor_db: str | None = None,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
         should_stop: Callable[[], bool] | None = None,
@@ -148,9 +147,7 @@ class _BaseExhaustiveSearch:
         # A warm dataset session shares its executor (cached join/sort, warm
         # sqlite store) and pre-annotated ~Q(D) across searches; one-shot
         # callers keep the build-it-here behaviour.
-        self._executor = executor or QueryExecutor(
-            database, backend=executor_backend, db_path=executor_db
-        )
+        self._executor = executor or QueryExecutor(database, backend=executor_backend)
         self._warm_annotated = annotated
         self._space: RefinementSpace | None = None
         self._original_result: RankedResult | None = None

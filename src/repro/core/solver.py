@@ -160,11 +160,10 @@ class RefinementSolver:
         (``"auto"`` honours the ``REPRO_MILP_BACKEND`` environment variable).
     time_limit:
         Optional wall-clock limit (seconds) for the MILP backend.
-    executor_backend, executor_db:
-        Query execution backend (``"memory"``/``"sqlite"``) and optional
-        on-disk sqlite path, forwarded to :class:`QueryExecutor`; both
-        default to the ``REPRO_EXECUTOR_BACKEND`` / ``REPRO_EXECUTOR_DB``
-        environment variables.
+    executor_backend:
+        Query execution backend (``"memory"``/``"sqlite"``), forwarded to
+        :class:`QueryExecutor`; defaults to the ``REPRO_EXECUTOR_BACKEND``
+        environment variable.
 
     The MILP is built once per :meth:`prepare`.  When enough rank/top-k rows
     stay pending after seeding (the pool-size floor,
@@ -187,7 +186,6 @@ class RefinementSolver:
         backend: str = "auto",
         time_limit: float | None = None,
         executor_backend: str | None = None,
-        executor_db: str | None = None,
         executor: QueryExecutor | None = None,
         annotated: AnnotatedDatabase | None = None,
     ) -> None:
@@ -208,9 +206,7 @@ class RefinementSolver:
         )
         # A warm dataset session shares its executor and pre-annotated ~Q(D)
         # across solver instances; one-shot callers build both here.
-        self._executor = executor or QueryExecutor(
-            database, backend=executor_backend, db_path=executor_db
-        )
+        self._executor = executor or QueryExecutor(database, backend=executor_backend)
         self._warm_annotated = annotated
 
     # -- pipeline -------------------------------------------------------------------
@@ -397,7 +393,6 @@ def solve_refinement(
     backend: str = "auto",
     time_limit: float | None = None,
     executor_backend: str | None = None,
-    executor_db: str | None = None,
 ) -> RefinementResult:
     """One-call convenience wrapper around :class:`RefinementSolver`."""
     solver = RefinementSolver(
@@ -410,7 +405,6 @@ def solve_refinement(
         backend=backend,
         time_limit=time_limit,
         executor_backend=executor_backend,
-        executor_db=executor_db,
     )
     return solver.solve()
 

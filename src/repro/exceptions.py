@@ -153,7 +153,7 @@ class DrainingError(AdmissionError):
 
 
 class StoreError(ReproError):
-    """Base class for persistent-store failures."""
+    """Base class for failures of the sqlite backend's store."""
 
     error_code = "store"
 
@@ -167,8 +167,8 @@ class StoreLockedError(StoreError, RetryableError):
 class StoreCorruptionError(StoreError, RetryableError):
     """Raised when a corrupted sqlite store could not be rebuilt.
 
-    Retryable: the store is a rebuildable cache, so a later request (or an
-    operator removing the file) can recover.
+    Retryable: the store is a rebuildable cache, so a later request can
+    recover.
     """
 
     error_code = "store_corruption"

@@ -15,13 +15,6 @@ Two execution backends sit behind :class:`QueryExecutor`:
 The backend is chosen per executor (``backend=`` constructor argument) or
 process-wide via the ``REPRO_EXECUTOR_BACKEND`` environment variable.  Both
 backends produce byte-identical :class:`RankedResult`\\ s.
-
-The sqlite backend can be *persistent*: ``db_path=`` (or the
-``REPRO_EXECUTOR_DB`` environment variable, which also implies the sqlite
-backend when none is selected explicitly) points it at an on-disk database
-file.  The indexed tables are written once and fingerprint-validated on every
-subsequent open, so a later process (a benchmark re-run, a restarted server)
-skips the data load entirely.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.analysis.debug_locks import guard_mapping, plain_copy
+from repro.analysis.debug_locks import guard_mapping
 from repro.exceptions import QueryError
 from repro.relational import columnar
 from repro.relational.columnar import ColumnStore
@@ -89,10 +82,6 @@ class _SQLiteConnectionPool:
                 evict.append(self._executors.pop(oldest))
         for stale in evict:
             stale.close()
-
-    def executors(self) -> list:
-        with self._lock:
-            return list(self._executors.values())
 
     def clear(self, close: bool = False) -> None:
         with self._lock:
@@ -310,21 +299,10 @@ class QueryExecutor:
     returned row coordinates into a result relation.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        backend: str | None = None,
-        db_path: str | None = None,
-    ) -> None:
+    def __init__(self, database: Database, backend: str | None = None) -> None:
         self.database = database
-        if db_path is None:
-            db_path = os.environ.get("REPRO_EXECUTOR_DB") or None
         if backend is None:
-            backend = os.environ.get("REPRO_EXECUTOR_BACKEND")
-            if backend is None:
-                # A persisted database only makes sense on sqlite; pointing
-                # REPRO_EXECUTOR_DB at a file selects it implicitly.
-                backend = "sqlite" if db_path is not None else "memory"
+            backend = os.environ.get("REPRO_EXECUTOR_BACKEND", "memory")
         backend = backend.lower()
         if backend not in EXECUTOR_BACKENDS:
             raise QueryError(
@@ -332,7 +310,6 @@ class QueryExecutor:
                 f"available: {list(EXECUTOR_BACKENDS)}"
             )
         self.backend = backend
-        self.db_path = db_path
         # The shape caches are check-then-build; concurrent refine requests
         # through one warm session share this executor, so cache construction
         # is serialized behind a lock (reads of a built entry are then safe
@@ -346,51 +323,9 @@ class QueryExecutor:
         )
         self._sqlite_pool = _SQLiteConnectionPool()
 
-    # -- process-boundary hygiene --------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle without sqlite connections, locks and prepared shapes (their
-        selectors are closures): none is picklable, and a clone prepares its
-        own shapes over the ordered joins it keeps."""
-        state = {name: value for name, value in self.__dict__.items()}
-        state["_sqlite_pool"] = None
-        state["_cache_lock"] = None
-        state["_ordered_cache"] = {
-            key: (joined, ordered, {})
-            for key, (joined, ordered, _) in plain_copy(self._ordered_cache).items()
-        }
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._rearm_caches()
-        self._sqlite_pool = _SQLiteConnectionPool()
-
-    def _rearm_caches(self) -> None:
-        """Fresh cache lock, caches re-wrapped (unpickle only)."""
-        self._cache_lock = threading.RLock()
-        with self._cache_lock:
-            self._join_cache = guard_mapping(
-                plain_copy(self._join_cache),
-                self._cache_lock,
-                "QueryExecutor._join_cache",
-            )
-            self._ordered_cache = guard_mapping(
-                plain_copy(self._ordered_cache),
-                self._cache_lock,
-                "QueryExecutor._ordered_cache",
-            )
-
     def close_connections(self) -> None:
         """Close every pooled sqlite connection (session teardown)."""
         self._sqlite_pool.clear(close=True)
-
-    @property
-    def sqlite_load_count(self) -> int:
-        """Relations actually (re)loaded into sqlite by this executor's process."""
-        return sum(
-            executor.load_count for executor in self._sqlite_pool.executors()
-        )
 
     # -- public API --------------------------------------------------------------
 
@@ -457,12 +392,12 @@ class QueryExecutor:
         from repro.relational.sqlite_backend import SQLiteExecutor
 
         sqlite = self._sqlite_pool.get()
-        # Construction and refresh both (re)load tables, and on a persistent
-        # db_path every thread's connection shares one file — serialize the
-        # loads or concurrent cold starts race on DROP/CREATE TABLE.
+        # Construction and refresh both copy the database's relations into
+        # the calling thread's own store.  They take the cache lock, so the
+        # threads' cold starts and reloads after a swap run one at a time.
         with self._cache_lock:
             if sqlite is None:
-                sqlite = SQLiteExecutor(self.database, path=self.db_path or ":memory:")
+                sqlite = SQLiteExecutor(self.database)
                 self._sqlite_pool.put(sqlite)
             else:
                 sqlite.refresh()

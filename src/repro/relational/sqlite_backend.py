@@ -20,21 +20,14 @@ The original cross-check API (:meth:`SQLiteExecutor.execute` returning
 projected values, and :meth:`SQLiteExecutor.execute_sql` for raw SQL) is kept
 for the examples and the property-based tests.
 
-Persistence: pointing the executor at a file (``path=`` /
-``REPRO_EXECUTOR_DB``) makes the indexed database survive the process.  Each
-table is stored together with a content fingerprint; a later process that
-opens the same file with the same data *adopts* the stored table instead of
-reloading it, so repeated benchmark runs skip the load phase entirely.  The
-fingerprint hashes the schema, the row count and a deterministic sample of
-rows; a persisted file is therefore assumed to be dedicated to one dataset
-configuration (within one process, swapped relations are still tracked by
-object identity and always reloaded).
+Every store is an in-memory database, one per thread of a
+:class:`~repro.relational.executor.QueryExecutor`: a cache of the source
+relations, loaded on first use, reloaded table by table when the database
+swaps a relation, and rebuilt from them when it reads as corrupted.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import sqlite3
 import time
 from typing import Callable, Sequence, TypeVar
@@ -49,9 +42,6 @@ from repro.relational.relation import Relation
 from repro.relational.schema import AttributeKind
 from repro.relational.sqlgen import _quote_identifier, render_where_params
 
-#: Rows sampled (evenly, plus first and last) into a relation fingerprint.
-_FINGERPRINT_SAMPLE = 1024
-
 #: Locked-store retry backoff: base doubles per retry up to the cap.
 _LOCK_RETRY_BASE_S = 0.02
 _LOCK_RETRY_CAP_S = 0.25
@@ -59,8 +49,6 @@ _LOCK_RETRY_CAP_S = 0.25
 _LOCK_RETRY_DEFAULT_BUDGET_S = 2.0
 #: Automatic store rebuilds tolerated within one guarded operation.
 _MAX_REBUILDS_PER_CALL = 2
-#: Busy timeout (ms) for persistent stores; clamped to the request deadline.
-_BUSY_TIMEOUT_MS = 30000
 
 _T = TypeVar("_T")
 
@@ -86,71 +74,37 @@ def _predicate_parameters(where: Conjunction) -> list:
     return parameters
 
 
-def relation_fingerprint(relation: Relation) -> str:
-    """Content fingerprint used to validate persisted tables across processes."""
-    digest = hashlib.sha256()
-    digest.update(
-        repr(
-            (
-                relation.name,
-                [(a.name, a.kind.value) for a in relation.schema],
-                len(relation),
-            )
-        ).encode()
-    )
-    rows = relation.rows
-    step = max(1, len(rows) // _FINGERPRINT_SAMPLE)
-    digest.update(repr(rows[::step]).encode())
-    if rows:
-        digest.update(repr(rows[-1]).encode())
-    return digest.hexdigest()
-
-
 class SQLiteExecutor:
-    """Materialises a :class:`Database` into sqlite and runs queries as SQL."""
+    """Materialises a :class:`Database` into an in-memory sqlite store and
+    runs queries as SQL."""
 
-    def __init__(self, database: Database, path: str = ":memory:") -> None:
-        self.path = path
+    def __init__(self, database: Database) -> None:
+        self._database = database
+        #: Automatic rebuilds performed after corruption detection.
+        self.rebuilds = 0
+        #: Guarded store accesses (also the fault-injection key stream).
+        self._access_count = 0
+        self._window_functions = sqlite3.sqlite_version_info >= (3, 25, 0)
+        self._connect()
+
+    def _connect(self) -> None:
+        """Open an empty in-memory store and load every relation into it."""
         # Each SQLiteExecutor is used by exactly one thread (QueryExecutor
         # hands out one per thread from its connection pool), but pool
         # eviction and session teardown close connections from *another*
         # thread — which sqlite3 only permits with check_same_thread=False.
         self.connection = sqlite3.connect(
-            path, cached_statements=256, check_same_thread=False
+            ":memory:", cached_statements=256, check_same_thread=False
         )
-        self._database = database
-        self._persistent = path != ":memory:"
-        #: Relations actually (re)loaded by this process (0 on a warm open).
-        self.load_count = 0
-        #: Automatic rebuilds performed after corruption detection.
-        self.rebuilds = 0
-        #: Guarded store accesses (also the fault-injection key stream).
-        self._access_count = 0
         #: Loaded relation per table name.  Holding the object itself (not a
         #: bare id) keeps it alive, so a replacement relation can never reuse
         #: the freed object's id and masquerade as the loaded one.
         self._loaded: dict[str, Relation] = {}
         self._indexed: set[tuple[str, str]] = set()
         self._sql_cache: dict[tuple, str] = {}
-        self._window_functions = sqlite3.sqlite_version_info >= (3, 25, 0)
-        try:
-            if self._persistent:
-                # Another connection or process may open the file while a
-                # writer is still loading it; wait for the writer instead of
-                # failing.
-                self.connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
-                self.connection.execute(
-                    "CREATE TABLE IF NOT EXISTS __repro_fingerprints "
-                    "(name TEXT PRIMARY KEY, fingerprint TEXT)"
-                )
-            for relation in database:
-                self._ensure_relation(relation)
-            self.connection.commit()
-        except sqlite3.DatabaseError as error:
-            # An already-corrupted file on disk: rebuild instead of crashing.
-            if not _is_corruption_error(error):
-                raise
-            self._rebuild()
+        for relation in self._database:
+            self._ensure_relation(relation)
+        self.connection.commit()
 
     def close(self) -> None:
         self.connection.close()
@@ -163,49 +117,17 @@ class SQLiteExecutor:
 
     # -- loading -------------------------------------------------------------------
 
-    def _stored_fingerprint(self, name: str) -> str | None:
-        if not self._persistent:
-            return None
-        row = self.connection.execute(
-            "SELECT fingerprint FROM __repro_fingerprints WHERE name = ?", (name,)
-        ).fetchone()
-        return row[0] if row else None
-
-    def _table_exists(self, name: str) -> bool:
-        row = self.connection.execute(
-            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?", (name,)
-        ).fetchone()
-        return row is not None
-
     def _ensure_relation(self, relation: Relation) -> bool:
-        """Make sure ``relation`` is queryable; load only when needed.
+        """Load ``relation`` unless the store already holds this object.
 
-        Returns ``True`` when the table was actually (re)loaded.  A relation
-        already loaded by this process is tracked by object identity (same
-        immutable object = unchanged contents); on first encounter, a
-        persisted table with a matching content fingerprint is adopted
-        without reloading.
+        Returns ``True`` when the table was actually (re)loaded.
         """
         name = relation.name
         if self._loaded.get(name) is relation:
             return False
-        fingerprint = relation_fingerprint(relation) if self._persistent else None
-        if name not in self._loaded and fingerprint is not None:
-            if self._stored_fingerprint(name) == fingerprint and self._table_exists(name):
-                self._loaded[name] = relation
-                return False
-        self.connection.execute(
-            f"DROP TABLE IF EXISTS {_quote_identifier(relation.name)}"
-        )
+        self.connection.execute(f"DROP TABLE IF EXISTS {_quote_identifier(name)}")
         self._indexed = {entry for entry in self._indexed if entry[0] != name}
         self._load_relation(relation)
-        if fingerprint is not None:
-            self.connection.execute(
-                "INSERT OR REPLACE INTO __repro_fingerprints (name, fingerprint) "
-                "VALUES (?, ?)",
-                (name, fingerprint),
-            )
-        self.load_count += 1
         return True
 
     def _load_relation(self, relation: Relation) -> None:
@@ -259,10 +181,6 @@ class SQLiteExecutor:
         key = self._access_count
         self._access_count += 1
         deadline = current_deadline()
-        if deadline is not None and self._persistent:
-            # A waiter must give up in time to answer within the deadline.
-            timeout_ms = max(1, int(min(30.0, deadline.remaining()) * 1000))
-            self.connection.execute(f"PRAGMA busy_timeout = {timeout_ms}")
         attempt = 0
         rebuilds_this_call = 0
         delay = _LOCK_RETRY_BASE_S
@@ -313,32 +231,10 @@ class SQLiteExecutor:
             self.connection.close()
         except sqlite3.Error:
             pass
-        if self._persistent:
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.remove(self.path + suffix)
-                except FileNotFoundError:
-                    pass
         try:
-            self.connection = sqlite3.connect(
-                self.path, cached_statements=256, check_same_thread=False
-            )
-            self._loaded.clear()
-            self._indexed.clear()
-            self._sql_cache.clear()
-            if self._persistent:
-                self.connection.execute(f"PRAGMA busy_timeout = {_BUSY_TIMEOUT_MS}")
-                self.connection.execute(
-                    "CREATE TABLE IF NOT EXISTS __repro_fingerprints "
-                    "(name TEXT PRIMARY KEY, fingerprint TEXT)"
-                )
-            for relation in self._database:
-                self._ensure_relation(relation)
-            self.connection.commit()
+            self._connect()
         except sqlite3.Error as error:
-            raise StoreCorruptionError(
-                f"rebuilding the corrupted store at {self.path!r} failed"
-            ) from error
+            raise StoreCorruptionError("rebuilding the corrupted store failed") from error
 
     # -- pushdown execution -----------------------------------------------------------
 

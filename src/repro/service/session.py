@@ -6,7 +6,7 @@ across refine requests:
 * the built :class:`~repro.datasets.registry.DatasetBundle` (the data load);
 * one shared, thread-safe :class:`~repro.relational.QueryExecutor` — its
   per-query-shape join/ordered-join caches (and, on the sqlite backend, the
-  per-thread connection pool over the persisted store) serve every request;
+  per-thread pool of in-memory stores) serve every request;
 * the provenance annotation of ``~Q(D)`` (computed once, read by all four
   engines);
 * the immutable :class:`~repro.core.MaskIndexData` column views that
@@ -22,8 +22,6 @@ an evicted session's sqlite connections are closed.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Mapping
@@ -64,14 +62,11 @@ class DatasetSession:
         dataset: str,
         parameters: Mapping | None = None,
         executor_backend: str | None = None,
-        executor_db: str | None = None,
     ) -> None:
         self.dataset = dataset
         self.parameters = dict(parameters or {})
         self.bundle = load_dataset(dataset, **self.parameters)
-        self.executor = QueryExecutor(
-            self.bundle.database, backend=executor_backend, db_path=executor_db
-        )
+        self.executor = QueryExecutor(self.bundle.database, backend=executor_backend)
         self._lock = threading.RLock()
         self._annotated: AnnotatedDatabase | None = None
         self._mask_data: MaskIndexData | None = None
@@ -174,25 +169,13 @@ class DatasetSession:
 
 
 class SessionPool:
-    """An LRU cache of :class:`DatasetSession`\\ s, keyed by configuration.
+    """An LRU cache of :class:`DatasetSession`\\ s, keyed by configuration."""
 
-    ``executor_db_dir`` (sqlite backend only) gives every session its own
-    persisted database file — the store's content fingerprints assume one
-    dataset configuration per file, so files are keyed by a digest of the
-    session key.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4,
-        executor_backend: str | None = None,
-        executor_db_dir: str | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 4, executor_backend: str | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"session pool capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.executor_backend = executor_backend
-        self.executor_db_dir = executor_db_dir
         self._lock = threading.RLock()
         self._sessions: OrderedDict[tuple, DatasetSession] = guard_mapping(
             OrderedDict(), self._lock, "SessionPool._sessions"
@@ -200,13 +183,6 @@ class SessionPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def _db_path(self, key: tuple) -> str | None:
-        if self.executor_db_dir is None:
-            return None
-        os.makedirs(self.executor_db_dir, exist_ok=True)
-        digest = hashlib.sha256(repr(key).encode()).hexdigest()[:12]
-        return os.path.join(self.executor_db_dir, f"{key[0]}-{digest}.sqlite")
 
     def get(
         self, dataset: str, parameters: Mapping | None = None, warm: bool = False
@@ -222,10 +198,7 @@ class SessionPool:
             else:
                 self.misses += 1
                 session = DatasetSession(
-                    dataset,
-                    parameters,
-                    executor_backend=self.executor_backend,
-                    executor_db=self._db_path(key),
+                    dataset, parameters, executor_backend=self.executor_backend
                 )
                 self._sessions[key] = session
                 while len(self._sessions) > self.capacity:
@@ -241,8 +214,8 @@ class SessionPool:
     def adopt(self, session: DatasetSession) -> DatasetSession:
         """Register an externally built session (the one-shot CLI path).
 
-        Lets a caller control the exact executor configuration (e.g. a
-        ``--executor-db`` file path) while still serving it through the pool.
+        Lets a caller control the exact executor configuration (e.g. the
+        CLI's ``--executor-backend``) while still serving it through the pool.
         """
         evicted: list[DatasetSession] = []
         with self._lock:

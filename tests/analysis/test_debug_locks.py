@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -89,14 +88,6 @@ class TestExecutorIntegration:
         assert len(executor.evaluate(query)) == 2
         # Warm second evaluation reads the caches -- still under the lock.
         assert len(executor.evaluate(query)) == 2
-
-    def test_pickle_roundtrip_rearms_the_proxies(self, debug_on):
-        executor, query = build_executor()
-        executor.evaluate(query)
-        clone = pickle.loads(pickle.dumps(executor))
-        with pytest.raises(LockAssertionError):
-            clone._join_cache.get(("r",))
-        assert len(clone.evaluate(query)) == 2
 
 
 class TestCoalescerIntegration:

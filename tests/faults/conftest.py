@@ -4,9 +4,6 @@ Every test in this package manipulates the process-wide fault plan
 (:data:`repro.faults.PLAN`), so the ``fault_env`` fixture owns arming *and*
 disarming: the plan is always refreshed back to empty after each test, even
 on failure — a leaked armed fault would poison every later test in the run.
-
-Like the service suite, a process-wide ``REPRO_EXECUTOR_DB`` is dropped so
-sessions own their store paths.
 """
 
 from __future__ import annotations
@@ -14,13 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
-
-
-@pytest.fixture(autouse=True, scope="package")
-def _isolate_executor_store():
-    with pytest.MonkeyPatch.context() as patcher:
-        patcher.delenv("REPRO_EXECUTOR_DB", raising=False)
-        yield
 
 
 @pytest.fixture

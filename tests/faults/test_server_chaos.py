@@ -217,15 +217,11 @@ class TestInjectionScenarios:
 
 class TestStoreChaosThroughTheServer:
     @pytest.fixture
-    def sqlite_server(self, tmp_path):
+    def sqlite_server(self):
         with pytest.MonkeyPatch.context() as patcher:
             patcher.setenv("REPRO_DEBUG_LOCKS", "1")
             engine = RefinementEngine(
-                sessions=SessionPool(
-                    capacity=2,
-                    executor_backend="sqlite",
-                    executor_db_dir=str(tmp_path),
-                )
+                sessions=SessionPool(capacity=2, executor_backend="sqlite")
             )
             with RefinementServer(
                 port=0, engine=engine, default_deadline_s=30.0, drain_timeout_s=5.0

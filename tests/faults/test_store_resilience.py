@@ -14,6 +14,8 @@ import pytest
 
 from repro.core.deadline import Deadline, deadline_scope
 from repro.exceptions import StoreCorruptionError, StoreLockedError
+from repro.relational import Database, Relation, Schema, SPJQuery
+from repro.relational.schema import categorical, numerical
 from repro.relational.sqlite_backend import SQLiteExecutor
 
 
@@ -60,6 +62,21 @@ def test_transient_corruption_triggers_rebuild(
     assert executor.rebuilds >= 1
 
 
+def test_rebuild_loads_the_databases_current_relations(fault_env):
+    """A rebuild opens a fresh in-memory store and loads the relations the
+    database holds now: a relation swapped in since the last load is read
+    without a refresh."""
+    schema = Schema([categorical("id"), numerical("score")])
+    database = Database([Relation("r", schema, [("a", 1), ("b", 2)])])
+    query = SPJQuery(tables=["r"], where=(), order_by="score", name="q")
+    executor = SQLiteExecutor(database)
+    assert sorted(executor.execute(query)) == [("a", 1.0), ("b", 2.0)]
+    database.add(Relation("r", schema, [("a", 1), ("b", 2), ("c", 3)]))
+    fault_env(REPRO_FAULT_SQLITE_CORRUPT="1.0,attempts=1")
+    assert sorted(executor.execute(query)) == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+    assert executor.rebuilds == 1
+
+
 def test_permanent_corruption_is_typed_after_rebuild_budget(
     students_db, scholarship, fault_env
 ):
@@ -67,15 +84,6 @@ def test_permanent_corruption_is_typed_after_rebuild_budget(
     fault_env(REPRO_FAULT_SQLITE_CORRUPT="1.0")
     with pytest.raises(StoreCorruptionError):
         executor.execute(scholarship)
-
-
-def test_on_disk_garbage_rebuilds_at_open(
-    tmp_path, students_db, scholarship, baseline
-):
-    path = tmp_path / "store.sqlite"
-    path.write_bytes(b"this is not a sqlite database at all" * 64)
-    executor = SQLiteExecutor(students_db, str(path))
-    assert executor.execute(scholarship) == baseline
 
 
 def test_store_survives_fault_scenarios(students_db, scholarship, baseline, fault_env):

@@ -108,11 +108,11 @@ class TestBackendSelection:
         with pytest.raises(QueryError):
             QueryExecutor(self._database(), backend="duckdb")
 
-    def test_backend_defaults_to_memory(self, monkeypatch):
+    def test_backend_defaults_to_memory(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_EXECUTOR_BACKEND", raising=False)
-        # REPRO_EXECUTOR_DB implies the sqlite backend, so the memory default
-        # only applies with neither variable set.
-        monkeypatch.delenv("REPRO_EXECUTOR_DB", raising=False)
+        # A store path left in the environment selects nothing: every store
+        # is in memory, and only REPRO_EXECUTOR_BACKEND picks the backend.
+        monkeypatch.setenv("REPRO_EXECUTOR_DB", str(tmp_path / "stale.sqlite"))
         assert QueryExecutor(self._database()).backend == "memory"
 
     def test_backend_from_environment(self, monkeypatch):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import gc
 import inspect
-import pickle
 import weakref
 from collections import Counter
 
@@ -178,12 +177,6 @@ class TestWarmExecutorShapes:
             with pytest.raises(QueryError):
                 executor.evaluate(query)
         assert executor.evaluate(scholarship).relation.rows == expected
-
-    def test_an_executor_with_prepared_shapes_pickles(self, students_db, scholarship):
-        executor = QueryExecutor(students_db, backend="memory")
-        expected = executor.evaluate(scholarship).relation.rows
-        clone = pickle.loads(pickle.dumps(executor))
-        assert clone.evaluate(scholarship).relation.rows == expected
 
     def test_prepared_shapes_do_not_keep_their_executor_alive(self, students_db, scholarship):
         """The cache keeps each shape's selectors, not the prepared query

@@ -14,24 +14,22 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.datasets import load_dataset
-from repro.relational import QueryExecutor
+from repro.relational import Database, QueryExecutor, Relation, Schema, SPJQuery
+from repro.relational.schema import categorical, numerical
 
 THREADS = 8
 ROUNDS = 5
 
 
-def build_executor(backend: str, tmp_path):
+def build_executor(backend: str):
     bundle = load_dataset("students")
-    kwargs: dict = {"backend": backend}
-    if backend == "sqlite":
-        kwargs["db_path"] = str(tmp_path / "threads.sqlite")
-    return QueryExecutor(bundle.database, **kwargs), bundle.query
+    return QueryExecutor(bundle.database, backend=backend), bundle.query
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 class TestExecutorThreadSafety:
-    def test_concurrent_evaluate_matches_serial(self, backend, tmp_path):
-        executor, query = build_executor(backend, tmp_path)
+    def test_concurrent_evaluate_matches_serial(self, backend):
+        executor, query = build_executor(backend)
         serial_rows = executor.evaluate(query).projected.rows
         errors: list[BaseException] = []
         barrier = threading.Barrier(THREADS)
@@ -54,9 +52,9 @@ class TestExecutorThreadSafety:
             thread.join(timeout=60)
         assert errors == []
 
-    def test_concurrent_first_touch(self, backend, tmp_path):
+    def test_concurrent_first_touch(self, backend):
         """All threads race the very first evaluation (cold caches)."""
-        executor, query = build_executor(backend, tmp_path)
+        executor, query = build_executor(backend)
         barrier = threading.Barrier(THREADS)
 
         def cold_evaluate():
@@ -69,15 +67,13 @@ class TestExecutorThreadSafety:
         assert all(rows == results[0] for rows in results)
 
 
-    def test_threads_binding_one_prepared_shape_get_their_own_rows(
-        self, backend, tmp_path
-    ):
+    def test_threads_binding_one_prepared_shape_get_their_own_rows(self, backend):
         """Concurrent searches share one prepared shape: each thread binds
         its own constants, under a short switch interval, and must get the
         rows and top-k group counts of its own binding, never another
         thread's.  The threads also read one shared result per binding,
         whose relations are built lazily by whichever thread reads first."""
-        executor, query = build_executor(backend, tmp_path)
+        executor, query = build_executor(backend)
         prepared = executor.prepare(query)
         bindings = [(3.7, {"RB"}), (3.0, {"RB", "SO"}), (3.5, {"SO"}), (0.0, {"GD", "SO"})]
         groups = [{"Gender": "F"}, {"Income": "High"}, {"Gender": "M", "Income": "Low"}]
@@ -119,10 +115,38 @@ class TestExecutorThreadSafety:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
 
+    def test_a_swap_reaches_every_threads_store(self, backend):
+        """Three threads evaluate, each on its own sqlite store; the main
+        thread then swaps a relation, and every thread's next evaluation
+        must read the new rows: each store reloads on its own."""
+        schema = Schema([categorical("id"), numerical("score")])
+        database = Database([Relation("r", schema, [("a", 1), ("b", 2)])])
+        query = SPJQuery(tables=["r"], where=(), order_by="score", name="q")
+        executor = QueryExecutor(database, backend=backend)
+        evaluated = threading.Barrier(4)
+        swapped = threading.Event()
+
+        def before_and_after():
+            before = len(executor.evaluate(query))
+            evaluated.wait(timeout=30)
+            assert swapped.wait(timeout=30)
+            return before, len(executor.evaluate(query))
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(before_and_after) for _ in range(3)]
+            evaluated.wait(timeout=30)
+            with executor._sqlite_pool._lock:
+                stores = len(executor._sqlite_pool._executors)
+            database.add(Relation("r", schema, [("a", 1), ("b", 2), ("c", 3)]))
+            swapped.set()
+            counts = [future.result(timeout=60) for future in futures]
+        assert stores == (3 if backend == "sqlite" else 0)
+        assert counts == [(2, 3)] * 3
+
 
 class TestSQLitePerThreadConnections:
-    def test_each_thread_gets_its_own_connection(self, tmp_path):
-        executor, query = build_executor("sqlite", tmp_path)
+    def test_each_thread_gets_its_own_connection(self):
+        executor, query = build_executor("sqlite")
         executor.evaluate(query)
         barrier = threading.Barrier(4)
 
@@ -144,10 +168,10 @@ class TestSQLitePerThreadConnections:
         assert idents <= pooled
         assert threading.get_ident() in pooled
 
-    def test_pool_is_bounded(self, tmp_path):
+    def test_pool_is_bounded(self):
         from repro.relational.executor import _SQLiteConnectionPool
 
-        executor, query = build_executor("sqlite", tmp_path)
+        executor, query = build_executor("sqlite")
         cap = _SQLiteConnectionPool.MAX_CONNECTIONS
 
         def touch():
@@ -160,8 +184,8 @@ class TestSQLitePerThreadConnections:
         with executor._sqlite_pool._lock:
             assert len(executor._sqlite_pool._executors) <= cap
 
-    def test_close_connections_clears_pool(self, tmp_path):
-        executor, query = build_executor("sqlite", tmp_path)
+    def test_close_connections_clears_pool(self):
+        executor, query = build_executor("sqlite")
         executor.evaluate(query)
         assert executor._sqlite_pool.get() is not None
         executor.close_connections()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.relational import QueryExecutor
 from repro.service import DatasetSession, SessionPool
 from repro.service.session import session_key
 
@@ -141,16 +142,17 @@ class TestSessionPool:
         assert len(summary["sessions"]) == 1
         assert summary["misses"] == 1
 
-    def test_sqlite_sessions_get_distinct_db_paths(self, tmp_path):
-        pool = SessionPool(
-            capacity=4,
-            executor_backend="sqlite",
-            executor_db_dir=str(tmp_path / "stores"),
-        )
-        one = pool.get("students")
-        two = pool.get("astronauts", {"num_rows": 30})
-        paths = {one.executor.db_path, two.executor.db_path}
-        assert len(paths) == 2
-        # Sessions stay usable on the sqlite backend.
-        assert len(one.executor.evaluate(one.query)) > 0
+    def test_two_sqlite_sessions_stay_usable(self):
+        """Two sizes of one dataset hold relations of the same names; on the
+        sqlite backend each session answers over its own, in turn."""
+        pool = SessionPool(capacity=4, executor_backend="sqlite")
+        sessions = [pool.get("meps", {"num_rows": rows}) for rows in (200, 300)]
+        expected = [
+            QueryExecutor(session.database, backend="memory").evaluate(session.query)
+            for session in sessions
+        ]
+        for _ in range(2):
+            for session, result in zip(sessions, expected):
+                rows = session.executor.evaluate(session.query).relation.rows
+                assert rows == result.relation.rows
         pool.close()
